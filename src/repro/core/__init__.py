@@ -39,7 +39,6 @@ from repro.core.stages import (
     Instrumentation,
     Stage,
     StageEngine,
-    TimingInstrumentation,
 )
 from repro.core.separator import (
     CombinedSeparatorFinder,
@@ -77,7 +76,6 @@ __all__ = [
     "PageTask",
     "Stage",
     "StageEngine",
-    "TimingInstrumentation",
     "GSIHeuristic",
     "HCHeuristic",
     "HFHeuristic",

@@ -8,10 +8,9 @@ pipeline in :mod:`repro.core.stages`:
    (``SubtreeStage -> SeparatorStage -> CombineStage``),
 3. construct and refine objects (``ConstructStage -> RefineStage``).
 
-Every stage is timed by the default
-:class:`~repro.core.stages.instrumentation.TimingInstrumentation` into
-:class:`PhaseTimings`, whose fields are exactly the columns of Tables 16
-and 17 (read file, parse page, choose subtree, object separator, combine
+Every stage is timed by the :class:`~repro.core.stages.engine.StageEngine`
+into :class:`PhaseTimings`, whose fields are exactly the columns of Tables
+16 and 17 (read file, parse page, choose subtree, object separator, combine
 heuristics, construct objects, total), so the timing benches print rows in
 the paper's own format.
 
@@ -47,11 +46,7 @@ from repro.core.stages.context import (
     PhaseTimings,
 )
 from repro.core.stages.engine import StageEngine
-from repro.core.stages.instrumentation import (
-    CompositeInstrumentation,
-    Instrumentation,
-    TimingInstrumentation,
-)
+from repro.core.stages.instrumentation import Instrumentation
 from repro.core.subtree import CombinedSubtreeFinder
 from repro.tree.node import TagNode
 
@@ -94,8 +89,8 @@ class OminiExtractor:
         Optional :class:`RuleStore` enabling the Section 6.6 cached-rule
         fast path (pass ``site=`` to :meth:`extract`).
     instrumentation:
-        Optional extra observer receiving the stage hooks alongside the
-        built-in timing observer.
+        Optional observer receiving the stage hooks (the engine fills
+        :class:`PhaseTimings` either way).
 
     Prefer :meth:`from_config` to assemble an extractor from a single
     declarative :class:`~repro.core.stages.ExtractorConfig`.
@@ -153,10 +148,9 @@ class OminiExtractor:
     # -- internals -----------------------------------------------------------
 
     def _engine(self) -> StageEngine:
-        observer: Instrumentation = TimingInstrumentation()
-        if self.instrumentation is not None:
-            observer = CompositeInstrumentation([observer, self.instrumentation])
-        return StageEngine(observer)
+        if self.instrumentation is None:
+            return StageEngine()
+        return StageEngine(self.instrumentation)
 
     def _context(self, **inputs) -> ExtractionContext:
         return ExtractionContext(

@@ -16,6 +16,9 @@ the separator tag no longer occurs, and the pipeline falls back to full
 discovery (and re-learns the rule) -- the self-healing behaviour that makes
 Omini robust where hand-written wrappers break.
 
+The stage engine reaches rules through the :class:`RuleSource` protocol;
+:class:`RuleStore` is its trivial implementation.
+
 The store is thread-safe: one instance serves every worker thread of a
 :class:`~repro.core.batch.BatchExtractor` or a ``repro.serve`` runtime.
 :meth:`RuleStore.save` writes atomically (temp file in the target
@@ -33,6 +36,7 @@ import tempfile
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Protocol
 
 from repro.tree.node import TagNode
 from repro.tree.paths import node_at_path
@@ -79,8 +83,52 @@ class ExtractionRule:
         return node
 
 
+@dataclass(frozen=True)
+class RuleLease:
+    """The answer to one :meth:`RuleSource.lease` call.
+
+    ``learner=True`` obliges the caller to run discovery and then call
+    :meth:`~RuleSource.publish` (or :meth:`~RuleSource.abort` on
+    failure).  Otherwise ``rule`` is the cached rule -- or ``None`` for a
+    cached abstention, in which case the caller runs discovery for its
+    own page with no publish obligation (see :meth:`~RuleSource.offer`).
+    """
+
+    site: str
+    rule: ExtractionRule | None
+    learner: bool
+
+
+class RuleSource(Protocol):
+    """Where the stage engine gets, heals and learns a site's rule."""
+
+    def lease(self, site: str) -> RuleLease:
+        """The cached rule for ``site``, or election as its learner."""
+        ...  # pragma: no cover - protocol
+
+    def report_stale(self, site: str, rule: ExtractionRule) -> bool:
+        """``rule`` failed to apply; True elects the caller to relearn."""
+        ...  # pragma: no cover - protocol
+
+    def publish(self, site: str, rule: ExtractionRule | None) -> None:
+        """Complete a learn (``None``: discovery abstained)."""
+        ...  # pragma: no cover - protocol
+
+    def abort(self, site: str) -> None:
+        """Give up a learn (discovery raised)."""
+        ...  # pragma: no cover - protocol
+
+    def offer(self, site: str, rule: ExtractionRule) -> bool:
+        """Upgrade a cached abstention with a rule a later page yielded."""
+        ...  # pragma: no cover - protocol
+
+
 class RuleStore:
-    """Thread-safe in-memory site -> rule map with optional JSON persistence."""
+    """Thread-safe in-memory site -> rule map with optional JSON persistence.
+
+    Also the trivial :class:`RuleSource`: no single-flight election (every
+    caller that finds no rule learns) and no cached abstentions.
+    """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self._path = Path(path) if path is not None else None
@@ -110,6 +158,34 @@ class RuleStore:
         """Forget the rule for ``site`` (after a :class:`StaleRuleError`)."""
         with self._lock:
             self._rules.pop(site, None)
+
+    # -- the RuleSource protocol --------------------------------------------
+
+    def lease(self, site: str) -> RuleLease:
+        """The stored rule, or election as learner when there is none."""
+        rule = self.get(site)
+        return RuleLease(site, rule, learner=rule is None)
+
+    def report_stale(self, site: str, rule: ExtractionRule) -> bool:
+        """Invalidate ``rule`` only if it is still the stored one, so a
+        caller holding an old rule cannot delete a freshly learned one."""
+        with self._lock:
+            if self._rules.get(site) is not rule:
+                return False
+            del self._rules[site]
+            return True
+
+    def publish(self, site: str, rule: ExtractionRule | None) -> None:
+        """Store a learned rule (an abstention stores nothing)."""
+        if rule is not None:
+            self.put(rule)
+
+    def abort(self, site: str) -> None:
+        """Nothing to undo: a failed learn stored nothing."""
+
+    def offer(self, site: str, rule: ExtractionRule) -> bool:
+        """Nothing to upgrade: a store never caches an abstention."""
+        return False
 
     def __len__(self) -> int:
         with self._lock:

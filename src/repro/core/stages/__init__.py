@@ -13,10 +13,10 @@ credible evaluation and scaling both demand composable, measurable phases):
 * :mod:`~repro.core.stages.config` -- :class:`ExtractorConfig`, the single
   consolidated (and picklable) knob object;
 * :mod:`~repro.core.stages.instrumentation` -- the observer interface
-  (``on_stage_start/on_stage_end/on_fallback`` + batch page hooks) with the
-  timing default that reproduces Tables 16/17;
+  (``on_stage_start/on_stage_end/on_fallback`` + batch page hooks);
 * :mod:`~repro.core.stages.engine` -- :class:`StageEngine`, which runs
-  plans and implements the stale-rule self-healing loop.
+  plans, fills the Tables 16/17 timing row, and implements the one
+  stale-rule self-healing loop.
 
 :class:`repro.core.pipeline.OminiExtractor` remains the friendly facade;
 :class:`repro.core.batch.BatchExtractor` is the concurrent driver built on
@@ -39,7 +39,6 @@ from repro.core.stages.instrumentation import (
     CompositeInstrumentation,
     Instrumentation,
     StageCounters,
-    TimingInstrumentation,
 )
 from repro.core.stages.plan import (
     ApplyRuleStage,
@@ -80,7 +79,6 @@ __all__ = [
     "StageCounters",
     "StageEngine",
     "SubtreeStage",
-    "TimingInstrumentation",
     "cached_plan",
     "discovery_plan",
 ]

@@ -13,22 +13,21 @@ bookkeeping.  A finished context converts to the public
 exactly the columns of Tables 16 and 17 (read file, parse page, choose
 subtree, object separator, combine heuristics, construct objects, total),
 so the timing benches print rows in the paper's own format.  Stages declare
-which column they charge via ``timing_column``, and the default
-:class:`~repro.core.stages.instrumentation.TimingInstrumentation` fills the
-row -- uniformly for discovery runs and cached-rule runs alike (a cached
-run simply leaves the skipped discovery columns at 0.0, which is the
-Table 17 shape).
+which column they charge via ``timing_column``, and the
+:class:`~repro.core.stages.engine.StageEngine` fills the row -- uniformly
+for discovery runs and cached-rule runs alike (a cached run simply leaves
+the skipped discovery columns at 0.0, which is the Table 17 shape).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.objects import ExtractedObject
 from repro.core.refinement import RefinementConfig
-from repro.core.rules import ExtractionRule, RuleStore
+from repro.core.rules import ExtractionRule, RuleSource
 from repro.core.separator.base import CandidateContext, RankedTag
 from repro.tree.node import TagNode
 from repro.tree.paths import path_of
@@ -73,6 +72,35 @@ class PhaseTimings:
         }
 
 
+#: Columns that belong to the discovery phases and must be wiped when a
+#: stale cached rule forces a rerun (read/parse survive: the page is fine).
+DISCOVERY_COLUMNS = (
+    "choose_subtree",
+    "object_separator",
+    "combine_heuristics",
+    "construct_objects",
+)
+
+#: Prologue columns a fallback must *preserve*: read/parse ran once, before
+#: plan selection, and their cost belongs to the final row either way.
+PROLOGUE_COLUMNS = ("read_file", "parse_page")
+
+
+def fallback_wipe_columns(timings: PhaseTimings) -> tuple[str, ...]:
+    """Every timing column a stale-rule fallback must reset.
+
+    Derived from the :class:`PhaseTimings` dataclass fields instead of a
+    hand-maintained list: the engine *accumulates* each stage's time into
+    its column, which is only safe if the wipe covers every column a
+    cached-plan stage could have charged.  Enumerating the fields makes
+    that hold by construction, even when a new column or a new cached
+    stage is added later.
+    """
+    return tuple(
+        f.name for f in fields(timings) if f.name not in PROLOGUE_COLUMNS
+    )
+
+
 @dataclass
 class ExtractionResult:
     """Everything the pipeline learned about one page."""
@@ -109,7 +137,10 @@ class ExtractionContext:
     subtree_finder: "CombinedSubtreeFinder | None" = None
     separator_finder: "CombinedSeparatorFinder | None" = None
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
-    rule_store: RuleStore | None = None
+    #: Where the cached-rule plan leases, heals and learns rules: a plain
+    #: :class:`~repro.core.rules.RuleStore`, or the serving tier's
+    #: single-flight :class:`~repro.serve.rulecache.SharedRuleCache`.
+    rule_store: RuleSource | None = None
     #: Optional parse override used by :class:`~repro.core.stages.plan.
     #: ParseStage` in place of ``parse_document`` -- the serve runtime
     #: injects an incremental re-parser here so a near-miss in the tree
@@ -134,40 +165,17 @@ class ExtractionContext:
     # -- bookkeeping -----------------------------------------------------
     timings: PhaseTimings = field(default_factory=PhaseTimings)
 
-    def __getstate__(self) -> dict[str, object]:
-        """Pickle the inputs cheaply; drop what cannot (or should not) cross.
-
-        Process-pool hand-off only ever needs the *inputs* (source, path,
-        site) and the strategy components a worker can rebuild results
-        from.  ``parser`` (a closure over another process's tree cache),
-        ``rule_store`` (holds an RLock), and the heavyweight artifact
-        fields are process-local by nature, so they reset to their
-        defaults on the far side instead of traveling.
-        """
-        state = dict(self.__dict__)
-        state["parser"] = None
-        state["rule_store"] = None
-        for tree_artifact in ("root", "subtree", "candidate_context"):
-            state[tree_artifact] = None
-        for list_artifact in (
-            "per_heuristic",
-            "separator_ranking",
-            "candidates",
-            "objects",
-        ):
-            state[list_artifact] = []
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-
     def reset_for_discovery(self) -> None:
         """Drop everything a failed cached-rule plan produced.
 
         Called between a :class:`~repro.core.rules.StaleRuleError` and the
         fallback discovery plan so the rerun starts from a clean slate
-        (parse and read artifacts are kept -- the page itself is fine).
+        (parse and read artifacts are kept -- the page itself is fine),
+        and the final timing row reflects only the run that produced the
+        objects.
         """
+        for column in fallback_wipe_columns(self.timings):
+            setattr(self.timings, column, 0.0)
         self.subtree = None
         self.candidate_context = None
         self.per_heuristic = []

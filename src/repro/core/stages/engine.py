@@ -3,14 +3,14 @@
 :class:`StageEngine` owns the mechanics the old monolithic
 ``OminiExtractor._discover`` interleaved with phase logic:
 
-* bracketing every stage with the instrumentation hooks
-  (``on_stage_start`` / ``on_stage_end``, with wall-clock measured by the
-  engine, not the stages);
-* plan selection -- cached-rule fast path when the context's rule store
-  holds a rule for the page's site, full discovery otherwise;
-* the Section 6.6 self-healing loop: a
-  :class:`~repro.core.rules.StaleRuleError` invalidates the rule, fires
-  ``on_fallback``, resets the context, and reruns the discovery plan.
+* bracketing every stage with the instrumentation hooks and charging its
+  engine-measured wall-clock to its Table 16/17 column;
+* plan selection and the Section 6.6 self-healing loop -- the only one:
+  leases come from the context's :class:`~repro.core.rules.RuleSource`
+  (a :class:`~repro.core.rules.RuleStore` for library callers, the
+  single-flight :class:`~repro.serve.rulecache.SharedRuleCache` when
+  serving); a :class:`~repro.core.rules.StaleRuleError` is reported,
+  fires ``on_fallback``, resets the context, and reruns discovery.
 
 The engine is deliberately tiny and stateless between calls: one engine
 can serve any number of extractions concurrently (the batch extractor
@@ -22,9 +22,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.rules import StaleRuleError
+from repro.core.rules import RuleSource, StaleRuleError
 from repro.core.stages.context import ExtractionContext, ExtractionResult
-from repro.core.stages.instrumentation import Instrumentation, TimingInstrumentation
+from repro.core.stages.instrumentation import Instrumentation
 from repro.core.stages.plan import (
     ParseStage,
     ReadStage,
@@ -33,19 +33,27 @@ from repro.core.stages.plan import (
     discovery_plan,
 )
 
+#: Leases per extraction: each retry follows a stale report lost to a
+#: concurrent relearn; past the bound the page is discovered privately.
+_MAX_LEASES = 4
+
 
 @dataclass
 class StageEngine:
     """Execute stage plans over extraction contexts."""
 
-    instrumentation: Instrumentation = field(default_factory=TimingInstrumentation)
+    instrumentation: Instrumentation = field(default_factory=Instrumentation)
 
     def run_stage(self, stage: Stage, ctx: ExtractionContext) -> None:
-        """Run one stage, bracketed by the instrumentation hooks."""
+        """Run one stage, charge its timing column, fire the hooks."""
         self.instrumentation.on_stage_start(stage, ctx)
         start = time.perf_counter()
         stage.run(ctx)
-        self.instrumentation.on_stage_end(stage, ctx, time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        column = stage.timing_column
+        if column is not None:
+            setattr(ctx.timings, column, getattr(ctx.timings, column) + elapsed)
+        self.instrumentation.on_stage_end(stage, ctx, elapsed)
 
     def run_plan(self, plan: list[Stage], ctx: ExtractionContext) -> ExtractionContext:
         """Run ``plan``'s stages in order; exceptions abort the plan."""
@@ -74,27 +82,51 @@ class StageEngine:
 
         Prologue: :class:`ReadStage` when only a path was given, then
         :class:`ParseStage` (skipped when the caller supplied a parsed
-        tree).  Plan: :func:`cached_plan` when a rule is cached for
-        ``ctx.site``, with automatic invalidation + discovery fallback on
-        staleness; :func:`discovery_plan` otherwise.
+        tree).  Plan: :func:`cached_plan` under a leased rule, with
+        discovery fallback on staleness; :func:`discovery_plan` as the
+        elected learner, for a cached abstention, or without a site/source.
         """
         if ctx.root is None:
             if ctx.source is None and ctx.path is not None:
                 self.run_stage(ReadStage(), ctx)
             self.run_stage(ParseStage(), ctx)
 
-        rule = None
-        if ctx.site is not None and ctx.rule_store is not None:
-            rule = ctx.rule_store.get(ctx.site)
-        if rule is not None:
-            ctx.rule = rule
+        source, site = ctx.rule_store, ctx.site
+        if source is None or site is None:
+            self.run_plan(discovery_plan(), ctx)
+            return ctx.to_result()
+        for _ in range(_MAX_LEASES):
+            lease = source.lease(site)
+            if lease.learner:
+                return self._learn(ctx, source, site)
+            if lease.rule is None:
+                # Cached abstention: discovery for this page only, with
+                # an opportunistic upgrade if it does find a separator.
+                self.run_plan(discovery_plan(), ctx)
+                if ctx.rule is not None:
+                    source.offer(site, ctx.rule)
+                return ctx.to_result()
+            ctx.rule = lease.rule
             try:
                 self.run_plan(cached_plan(), ctx)
                 return ctx.to_result()
             except StaleRuleError as error:
-                ctx.rule_store.invalidate(ctx.site)  # type: ignore[union-attr]
+                won = source.report_stale(site, lease.rule)
                 self.instrumentation.on_fallback(ctx, error)
                 ctx.reset_for_discovery()
-
+                if won:
+                    return self._learn(ctx, source, site)
         self.run_plan(discovery_plan(), ctx)
+        return ctx.to_result()
+
+    def _learn(
+        self, ctx: ExtractionContext, source: RuleSource, site: str
+    ) -> ExtractionResult:
+        """Run discovery as the site's elected learner and publish."""
+        try:
+            self.run_plan(discovery_plan(), ctx)
+        except BaseException:
+            source.abort(site)
+            raise
+        source.publish(site, ctx.rule)
         return ctx.to_result()

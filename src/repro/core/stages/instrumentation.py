@@ -20,19 +20,16 @@ just different :class:`Instrumentation` implementations:
   rate) so one observer instance can watch a batch end to end, network
   included.
 
-:class:`TimingInstrumentation` is the default and reproduces the historical
-:class:`~repro.core.stages.context.PhaseTimings` behaviour exactly: each
-stage's elapsed time is charged to the Table 16/17 column it declares via
-``Stage.timing_column`` (construct + refine share the ``construct_objects``
-column, as the paper times them together), and a stale-rule fallback wipes
-the partial discovery columns so the final row reflects only the run that
-actually produced the objects.
+Observers only watch: the Table 16/17 row itself
+(:class:`~repro.core.stages.context.PhaseTimings`) is filled by the
+:class:`~repro.core.stages.engine.StageEngine`, which charges each stage's
+elapsed time to the column it declares via ``Stage.timing_column``.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -106,50 +103,6 @@ HOOK_NAMES = tuple(
     for name, member in vars(Instrumentation).items()
     if name.startswith("on_") and callable(member)
 )
-
-#: Columns that belong to the discovery phases and must be wiped when a
-#: stale cached rule forces a rerun (read/parse survive: the page is fine).
-DISCOVERY_COLUMNS = (
-    "choose_subtree",
-    "object_separator",
-    "combine_heuristics",
-    "construct_objects",
-)
-
-#: Prologue columns a fallback must *preserve*: read/parse ran once, before
-#: plan selection, and their cost belongs to the final row either way.
-PROLOGUE_COLUMNS = ("read_file", "parse_page")
-
-
-def fallback_wipe_columns(timings: object) -> tuple[str, ...]:
-    """Every timing column a stale-rule fallback must reset.
-
-    Derived from the :class:`PhaseTimings` dataclass fields instead of a
-    hand-maintained list: the monolithic pipeline *assigned* each column
-    (so a failed cached attempt could never leak time into the discovery
-    row), but the staged observer *accumulates* -- which is only safe if
-    the wipe covers every column a cached-plan stage could have charged.
-    Enumerating the fields makes that hold by construction, even when a
-    new column or a new cached stage is added later.
-    """
-    return tuple(
-        f.name for f in fields(timings) if f.name not in PROLOGUE_COLUMNS
-    )
-
-
-class TimingInstrumentation(Instrumentation):
-    """Fill :class:`PhaseTimings` exactly as the monolithic pipeline did."""
-
-    def on_stage_end(
-        self, stage: "Stage", ctx: "ExtractionContext", elapsed: float
-    ) -> None:
-        column = getattr(stage, "timing_column", None)
-        if column is not None:
-            setattr(ctx.timings, column, getattr(ctx.timings, column) + elapsed)
-
-    def on_fallback(self, ctx: "ExtractionContext", error: Exception) -> None:
-        for column in fallback_wipe_columns(ctx.timings):
-            setattr(ctx.timings, column, 0.0)
 
 
 class CompositeInstrumentation(Instrumentation):

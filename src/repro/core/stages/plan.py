@@ -190,7 +190,7 @@ class ApplyRuleStage:
 
     Raises :class:`~repro.core.rules.StaleRuleError` when the stored path
     no longer resolves or the separator vanished; the engine catches it,
-    invalidates the rule, and falls back to :func:`discovery_plan`.
+    reports the rule stale, and falls back to :func:`discovery_plan`.
     """
 
     name = "apply_rule"
@@ -205,9 +205,11 @@ class ApplyRuleStage:
 
 
 class LearnRuleStage:
-    """Store the discovered rule for next time (untimed housekeeping).
+    """Build the rule discovery implies (untimed housekeeping).
 
-    No-op without a rule store + site key, or when discovery abstained.
+    Sets ``ctx.rule`` for the engine to publish to the context's rule
+    source; no-op without a rule source + site key, or when discovery
+    abstained.
     """
 
     name = "learn_rule"
@@ -217,13 +219,11 @@ class LearnRuleStage:
         if ctx.site is None or ctx.rule_store is None or not ctx.separator:
             return
         assert ctx.subtree is not None
-        learned = ExtractionRule(
+        ctx.rule = ExtractionRule(
             site=ctx.site,
             subtree_path=path_of(ctx.subtree),
             separator=ctx.separator,
         )
-        ctx.rule_store.put(learned)
-        ctx.rule = learned
 
 
 def discovery_plan() -> list[Stage]:

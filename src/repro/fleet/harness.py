@@ -36,6 +36,7 @@ from repro.fleet.ring import HashRing
 from repro.fleet.transport import HttpNodeClient, free_port, probe_ready
 from repro.observe.metrics import MetricsRegistry
 from repro.serve.protocol import ExtractRequest, ServeResponse
+from repro.serve.rulecache import SharedRuleCache
 from repro.serve.runtime import ServeConfig, ServeRuntime
 
 __all__ = ["InProcessFleet", "LocalNodeClient", "SubprocessFleet"]
@@ -112,17 +113,25 @@ class InProcessFleet:
         self._local_clients: dict[str, LocalNodeClient] = {}
         for index in range(nodes):
             node_id = f"node-{index}"
+            metrics = MetricsRegistry()
+            rules = SharedRuleCache(
+                capacity=self.config.rule_capacity,
+                flush_threshold=self.config.flush_threshold,
+                metrics=metrics,
+                node_id=node_id,
+                registry=self.registry,
+            )
             runtime = ServeRuntime(
                 self.config,
                 clock=self.clock,
                 fetcher=fetcher,
-                node_id=node_id,
-                registry=self.registry,
+                rule_cache=rules,
+                metrics=metrics,
             )
             self.nodes[node_id] = runtime
             client = LocalNodeClient(node_id, runtime)
             self._local_clients[node_id] = client
-            self.registry.register_installer(node_id, runtime.core.adopt_rule)
+            self.registry.register_installer(node_id, rules.adopt_rule)
             self.coordinator.attach(node_id, client)
 
     # -- lifecycle -----------------------------------------------------------

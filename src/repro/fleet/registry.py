@@ -3,7 +3,7 @@
 :class:`~repro.serve.rulecache.SharedRuleCache` already guarantees one
 learner per site per *process*; this registry generalizes the election
 across nodes.  The protocol, from a node's point of view (the
-:class:`~repro.serve.runtime.RuleRegistryClient` seam):
+:class:`~repro.serve.rulecache.RuleRegistryClient` seam):
 
 1. A node whose local cache elected it learner calls :meth:`acquire`.
    Exactly one node holds the lease for a site at a time; everyone else
@@ -45,7 +45,7 @@ from repro.observe.metrics import MetricsRegistry
 __all__ = ["FleetRuleRegistry", "RuleInstaller"]
 
 #: A node-side hook installing a replicated ``(site, rule, version)``;
-#: :meth:`repro.serve.runtime.ExtractionCore.adopt_rule` satisfies it.
+#: :meth:`repro.serve.rulecache.SharedRuleCache.adopt_rule` satisfies it.
 RuleInstaller = Callable[[str, ExtractionRule | None, int], bool]
 
 #: Default seconds a learn lease survives its holder.  Generous against

@@ -29,15 +29,13 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any
 
-from repro.core.stages.instrumentation import (
-    Instrumentation,
-    fallback_wipe_columns,
-)
+from repro.core.stages.context import PhaseTimings, fallback_wipe_columns
+from repro.core.stages.instrumentation import Instrumentation
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.span import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.stages.context import ExtractionContext, PhaseTimings
+    from repro.core.stages.context import ExtractionContext
     from repro.core.stages.plan import Stage
     from repro.fetch.base import Clock
 
@@ -265,18 +263,17 @@ class TracingInstrumentation(Instrumentation):
                 )
 
 
-def phase_timings_from_spans(spans: list[Span]) -> "PhaseTimings":
+def phase_timings_from_spans(spans: list[Span]) -> PhaseTimings:
     """Rebuild a :class:`PhaseTimings` row from one extraction's spans.
 
-    Replays exactly what :class:`TimingInstrumentation` does -- add each
-    stage span's engine-measured duration to its declared column, wipe the
-    non-prologue columns on a ``fallback`` event -- in span completion
-    order, which is hook order.  Same additions of the same floats in the
-    same order: the result is bit-identical to the row the extraction
-    itself produced, which is what lets ``eval/timing.py`` build
-    Tables 16/17 as a pure view over trace data.
+    Replays exactly what the stage engine does to ``ctx.timings`` -- add
+    each stage span's engine-measured duration to its declared column,
+    wipe the non-prologue columns on a ``fallback`` event -- in span
+    completion order, which is hook order.  Same additions of the same
+    floats in the same order: the result is bit-identical to the row the
+    extraction itself produced, which is what lets ``eval/timing.py``
+    build Tables 16/17 as a pure view over trace data.
     """
-    from repro.core.stages.context import PhaseTimings
 
     timings = PhaseTimings()
     for span in spans:

@@ -16,6 +16,10 @@ path.  :class:`SharedRuleCache` makes rediscovery single-flight:
 * :meth:`publish` / :meth:`abort` complete or give up a learn, waking the
   waiters either way.
 
+These are the :class:`~repro.core.rules.RuleSource` methods the stage
+engine's self-healing loop drives; with a fleet :class:`RuleRegistryClient`
+attached they also carry the fleet lease (see :class:`SharedRuleCache`).
+
 Persistence is write-behind: a published rule lands in the backing
 :class:`~repro.core.rules.RuleStore` map immediately (cheap, in-memory)
 but the JSON file is only written by :meth:`flush` -- called on drain and
@@ -35,12 +39,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import Protocol
 
-from repro.core.rules import ExtractionRule, RuleStore
+from repro.core.rules import ExtractionRule, RuleLease, RuleStore
 from repro.observe.metrics import MetricsRegistry
 
-__all__ = ["RuleLease", "SharedRuleCache"]
+__all__ = ["RuleLease", "RuleRegistryClient", "SharedRuleCache"]
 
 #: Entry states: a READY entry holds a rule (or a cached abstention);
 #: a LEARNING entry means one thread is rediscovering and others wait.
@@ -56,25 +60,43 @@ class _Entry:
         self.rule = rule
 
 
-@dataclass(frozen=True)
-class RuleLease:
-    """The answer to one :meth:`SharedRuleCache.lease` call.
+class RuleRegistryClient(Protocol):
+    """What a rule cache needs from a fleet-wide rule registry.
 
-    ``learner=True`` obliges the caller to run discovery and then call
-    :meth:`~SharedRuleCache.publish` (or :meth:`~SharedRuleCache.abort`
-    on failure).  Otherwise ``rule`` is the shared cached rule -- or
-    ``None`` for a cached abstention, in which case the caller runs
-    discovery for its own page with no publish obligation (see
-    :meth:`~SharedRuleCache.offer`).
+    The seam :mod:`repro.fleet.registry` plugs into.  The serve tier
+    defines the protocol (rather than importing the fleet tier) so a
+    standalone runtime carries no fleet dependency: with no registry the
+    single-flight election stays process-local.
     """
 
-    site: str
-    rule: ExtractionRule | None
-    learner: bool
+    def acquire(self, site: str, node_id: str) -> bool:
+        """Try to take the fleet-wide learn lease for ``site``."""
+        ...  # pragma: no cover - protocol
+
+    def release(self, site: str, node_id: str) -> None:
+        """Give the lease back without publishing (the learn failed)."""
+        ...  # pragma: no cover - protocol
+
+    def publish(
+        self, site: str, rule: ExtractionRule | None, node_id: str
+    ) -> int | None:
+        """Publish a learned rule fleet-wide; returns its new version,
+        or None when the publish was fenced off (lease lost/stolen)."""
+        ...  # pragma: no cover - protocol
+
+    def lookup(self, site: str) -> tuple[ExtractionRule | None, int] | None:
+        """The fleet's current ``(rule, version)`` for ``site``, if any."""
+        ...  # pragma: no cover - protocol
 
 
 class SharedRuleCache:
-    """Bounded, thread-safe, single-flight front over a :class:`RuleStore`."""
+    """Bounded, thread-safe, single-flight front over a :class:`RuleStore`.
+
+    The serving tier's :class:`~repro.core.rules.RuleSource`.  With a
+    fleet ``registry`` attached, a local election is only a *candidacy*:
+    the elected learner also takes the fleet-wide lease, publishes
+    through it, and converges on the fleet's rule by adoption.
+    """
 
     def __init__(
         self,
@@ -83,6 +105,8 @@ class SharedRuleCache:
         capacity: int = 256,
         flush_threshold: int = 32,
         metrics: MetricsRegistry | None = None,
+        node_id: str = "node-0",
+        registry: RuleRegistryClient | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -90,9 +114,17 @@ class SharedRuleCache:
         self.capacity = capacity
         self.flush_threshold = flush_threshold
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.node_id = node_id
+        self.registry = registry
         self._cond = threading.Condition()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._dirty: set[str] = set()
+        #: Fleet rule version last adopted per site, so a replication
+        #: push is applied exactly once and a node never "adopts" its
+        #: own publication back.
+        self._fleet_versions: dict[str, int] = {}
+        #: Sites whose fleet-wide learn lease this node holds.
+        self._fleet_leases: set[str] = set()
 
     # -- the lease protocol -------------------------------------------------
 
@@ -117,7 +149,7 @@ class SharedRuleCache:
                         return RuleLease(site, stored, learner=False)
                     self._entries[site] = _Entry(_LEARNING, None)
                     self.metrics.counter("rules.misses").inc()
-                    return RuleLease(site, None, learner=True)
+                    break
                 if entry.state == _READY:
                     self._entries.move_to_end(site)
                     name = "rules.shared" if waited else "rules.hits"
@@ -125,6 +157,8 @@ class SharedRuleCache:
                     return RuleLease(site, entry.rule, learner=False)
                 self._cond.wait()
                 waited = True
+        self._stand_for_fleet(site)
+        return RuleLease(site, None, learner=True)
 
     def report_stale(self, site: str, rule: ExtractionRule) -> bool:
         """A leased rule failed to apply; compete for the right to relearn.
@@ -145,10 +179,12 @@ class SharedRuleCache:
             entry.rule = None
             self.store.invalidate(site)
             self.metrics.counter("rules.relearned").inc()
-            return True
+        self._stand_for_fleet(site)
+        return True
 
     def publish(self, site: str, rule: ExtractionRule | None) -> None:
         """Complete a learn: install ``rule`` (None = cached abstention)."""
+        fenced = self._publish_fleet_wide(site, rule)
         flush_after = False
         with self._cond:
             self._entries[site] = _Entry(_READY, rule)
@@ -161,6 +197,8 @@ class SharedRuleCache:
             self._cond.notify_all()
         if flush_after:
             self.flush()
+        if fenced:
+            self.adopt_published(site)
 
     def abort(self, site: str) -> None:
         """Give up a learn (the learner raised); waiters re-elect."""
@@ -169,16 +207,36 @@ class SharedRuleCache:
             if entry is not None and entry.state == _LEARNING:
                 del self._entries[site]
             self._cond.notify_all()
+        if self._drop_fleet_lease(site):
+            assert self.registry is not None
+            self.registry.release(site, self.node_id)
 
-    def install(self, site: str, rule: ExtractionRule | None) -> bool:
-        """Adopt a rule replicated from elsewhere in the fleet.
+    def offer(self, site: str, rule: ExtractionRule) -> bool:
+        """Upgrade a cached abstention with a rule a later page yielded."""
+        with self._cond:
+            entry = self._entries.get(site)
+            if entry is None or entry.state != _READY or entry.rule is not None:
+                return False
+            entry.rule = rule
+            self.store.put(rule)
+            self._dirty.add(site)
+            self._entries.move_to_end(site)
+            return True
 
-        Unlike :meth:`publish` this is not the completion of a local
-        learn: a LEARNING entry is left alone (the local learner's
-        publication will supersede the replica anyway), and the site is
-        *not* marked dirty -- persistence belongs to the node that
-        learned the rule, not to every replica holding a copy.  Returns
-        True when the replica was installed.
+    # -- fleet seam ----------------------------------------------------------
+
+    def adopt_rule(
+        self, site: str, rule: ExtractionRule | None, version: int
+    ) -> bool:
+        """Install a rule replicated from the fleet registry.
+
+        The push side of replication, called on every ring replica of
+        ``site`` after a publish.  A LEARNING entry is left alone (the
+        local publication wins), and the site is *not* marked dirty --
+        persistence belongs to the node that learned the rule.  The
+        version is recorded only when the install lands, so after a
+        refusal the next :meth:`adopt_published` sees the mismatch and
+        retries.
         """
         with self._cond:
             entry = self._entries.get(site)
@@ -192,19 +250,60 @@ class SharedRuleCache:
                 self.store.invalidate(site)
             self._evict_excess()
             self._cond.notify_all()
+            self._fleet_versions[site] = version
             return True
 
-    def offer(self, site: str, rule: ExtractionRule) -> bool:
-        """Upgrade a cached abstention with a rule a later page yielded."""
+    def adopt_published(self, site: str) -> None:
+        """Pull-side adoption: converge on the fleet's current rule.
+
+        Called once per request, before the first :meth:`lease`: if the
+        fleet holds a version this node has not seen (it joined after the
+        push, or missed it), install it so the request applies the fleet
+        rule instead of relearning or serving a stale local one.
+        """
+        if self.registry is None:
+            return
+        published = self.registry.lookup(site)
+        if published is None:
+            return
+        rule, version = published
+        if self._fleet_versions.get(site) != version:
+            self.adopt_rule(site, rule, version)
+
+    def _stand_for_fleet(self, site: str) -> None:
+        """After a local election: take the fleet-wide learn lease too.
+
+        A node denied the lease (another node is learning the site) still
+        learns for its own page and publishes *locally* -- that wakes this
+        process's waiters without fighting the fleet learner; the fleet's
+        eventual publication supersedes the local rule by adoption.
+        """
+        if self.registry is not None and self.registry.acquire(site, self.node_id):
+            with self._cond:
+                self._fleet_leases.add(site)
+
+    def _drop_fleet_lease(self, site: str) -> bool:
+        """Forget the site's fleet lease; True when this node held it."""
         with self._cond:
-            entry = self._entries.get(site)
-            if entry is None or entry.state != _READY or entry.rule is not None:
-                return False
-            entry.rule = rule
-            self.store.put(rule)
-            self._dirty.add(site)
-            self._entries.move_to_end(site)
+            held = site in self._fleet_leases
+            self._fleet_leases.discard(site)
+            return held
+
+    def _publish_fleet_wide(self, site: str, rule: ExtractionRule | None) -> bool:
+        """Publish through the held fleet lease; True when fenced off."""
+        if not self._drop_fleet_lease(site):
+            return False
+        assert self.registry is not None
+        version = self.registry.publish(site, rule, self.node_id)
+        if version is None:
+            # Fenced: the lease was stolen mid-learn and the stealer's
+            # publication stands.  Forget any recorded fleet version so
+            # adoption force-installs the fleet truth instead of keeping
+            # our discarded rule.
+            self._fleet_versions.pop(site, None)
             return True
+        self._fleet_versions[site] = version
+        return False
 
     # -- persistence --------------------------------------------------------
 

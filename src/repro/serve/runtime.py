@@ -7,12 +7,14 @@ work is split in two:
 * :class:`ExtractionCore` is the per-process extraction machine: one
   fetcher, one :class:`~repro.serve.rulecache.SharedRuleCache`
   (single-flight rule learning over the
-  :class:`~repro.core.rules.RuleStore`), one
+  :class:`~repro.core.rules.RuleStore`, and the fleet seam), one
   :class:`~repro.serve.treecache.TreeCache` (digest-keyed parsed trees,
   the Table 17 "read+parse dominates" fix), one metrics registry and one
   tracer.  :meth:`ExtractionCore.process` turns an admitted
   :class:`PendingRequest` into a ready
   :class:`~repro.serve.protocol.ServeResponse` -- no threads, no queue.
+  Plan selection and rule healing are the stage engine's: the core hands
+  it a context whose rule source is the shared cache.
   The thread runtime below embeds one core; the multiprocess runtime
   (:mod:`repro.serve.procpool`) builds one core *per worker process* so
   each shard keeps its own caches and single-flight learner election.
@@ -54,18 +56,12 @@ import math
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
-from repro.core.rules import ExtractionRule, RuleStore, StaleRuleError
+from repro.core.rules import RuleStore
 from repro.core.stages.config import ExtractorConfig
-from repro.core.stages.context import ExtractionContext, ExtractionResult
+from repro.core.stages.context import ExtractionContext
 from repro.core.stages.engine import StageEngine
-from repro.core.stages.instrumentation import (
-    CompositeInstrumentation,
-    Instrumentation,
-    TimingInstrumentation,
-)
-from repro.core.stages.plan import ParseStage, cached_plan, discovery_plan
 from repro.fetch.base import Clock, FetchError, Fetcher, SystemClock, body_digest
 from repro.fetch.retry import site_key
 from repro.observe.adapter import TracingInstrumentation
@@ -89,44 +85,13 @@ from repro.serve.treecache import TreeCache
 from repro.tree.builder import parse_document
 from repro.tree.incremental import try_incremental_parse
 from repro.tree.node import TagNode
-from repro.tree.paths import path_of
 
 __all__ = [
     "ExtractionCore",
     "PendingRequest",
-    "RuleRegistryClient",
     "ServeConfig",
     "ServeRuntime",
 ]
-
-
-class RuleRegistryClient(Protocol):
-    """What a core needs from a fleet-wide rule registry.
-
-    The seam :mod:`repro.fleet.registry` plugs into.  The serve tier
-    defines the protocol (rather than importing the fleet tier) so a
-    standalone runtime carries no fleet dependency: with no registry the
-    single-flight election stays process-local, exactly as before.
-    """
-
-    def acquire(self, site: str, node_id: str) -> bool:
-        """Try to take the fleet-wide learn lease for ``site``."""
-        ...  # pragma: no cover - protocol
-
-    def release(self, site: str, node_id: str) -> None:
-        """Give the lease back without publishing (the learn failed)."""
-        ...  # pragma: no cover - protocol
-
-    def publish(
-        self, site: str, rule: ExtractionRule | None, node_id: str
-    ) -> int | None:
-        """Publish a learned rule fleet-wide; returns its new version,
-        or None when the publish was fenced off (lease lost/stolen)."""
-        ...  # pragma: no cover - protocol
-
-    def lookup(self, site: str) -> tuple[ExtractionRule | None, int] | None:
-        """The fleet's current ``(rule, version)`` for ``site``, if any."""
-        ...  # pragma: no cover - protocol
 
 
 @dataclass(frozen=True)
@@ -191,16 +156,8 @@ class ExtractionCore:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         extractor_config: ExtractorConfig | None = None,
-        node_id: str = "node-0",
-        registry: RuleRegistryClient | None = None,
     ) -> None:
         self.config = config
-        self.node_id = node_id
-        self.registry = registry
-        #: Fleet rule version last adopted per site, so a replication
-        #: push is applied exactly once and a node never "adopts" its
-        #: own publication back.
-        self._fleet_versions: dict[str, int] = {}
         self.clock: Clock = clock if clock is not None else SystemClock()
         self.fetcher = fetcher
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -228,10 +185,7 @@ class ExtractionCore:
         self.adapter = TracingInstrumentation(
             self.tracer, self.metrics, enabled=config.tracing, clock=self.clock
         )
-        self.observer: Instrumentation = CompositeInstrumentation(
-            [TimingInstrumentation(), self.adapter]
-        )
-        self.engine = StageEngine(self.observer)
+        self.engine = StageEngine(self.adapter)
         extractor_config = (
             extractor_config if extractor_config is not None else ExtractorConfig()
         )
@@ -324,10 +278,10 @@ class ExtractionCore:
             subtree_finder=self._subtree_finder,
             separator_finder=self._separator_finder,
             refinement=self._refinement,
+            rule_store=self.rules,
+            root=tree,
         )
-        if tree is not None:
-            ctx.root = tree
-        elif site is not None:
+        if tree is None and site is not None:
             # Digest near-miss: the site's previous body may differ by one
             # small edit; try patching its cached tree instead of a full
             # re-parse (still inside ParseStage, so the Table 16/17
@@ -335,18 +289,13 @@ class ExtractionCore:
             candidate = self.trees.incremental_candidate(site)
             if candidate is not None:
                 ctx.parser = self._incremental_parser(*candidate)
-        self.observer.on_extract_start(ctx)
-        result: ExtractionResult | None = None
-        try:
-            if ctx.root is None:
-                self.engine.run_stage(ParseStage(), ctx)
-                assert ctx.root is not None
-                self.trees.put(digest, ctx.root, site=site, body=body)
-            result = self._run_plans(ctx, site)
-        finally:
-            self.observer.on_extract_end(ctx, result)
+        if site is not None:
+            self.rules.adopt_published(site)
+        result = self.engine.extract(ctx)
+        if tree is None:
+            assert ctx.root is not None
+            self.trees.put(digest, ctx.root, site=site, body=body)
 
-        assert result is not None
         elapsed = self.clock.monotonic() - pending.enqueued
         return success_response(
             request,
@@ -383,143 +332,6 @@ class ExtractionCore:
 
         return parse
 
-    # -- rule-sharing pipeline flow -----------------------------------------
-
-    def _run_plans(self, ctx: ExtractionContext, site: str | None) -> ExtractionResult:
-        """Drive the stage plans through the shared rule cache.
-
-        Mirrors :meth:`StageEngine._extract`'s plan selection, but routes
-        rule lookup/learning through :class:`SharedRuleCache` so a stale
-        rule triggers exactly one rediscovery no matter how many worker
-        threads hit it concurrently: the :meth:`~SharedRuleCache.
-        report_stale` winner relearns and publishes; losers re-lease,
-        block until publication, and apply the fresh rule.
-        """
-        if site is None:
-            self.engine.run_plan(discovery_plan(), ctx)
-            return ctx.to_result()
-
-        if self.registry is not None:
-            self._adopt_published(site)
-
-        # Bounded retries: each loop iteration either returns or has
-        # observed a staleness lost to another thread's learn, which can
-        # only happen a bounded number of times before the fresh rule
-        # applies (or we give up sharing and discover privately below).
-        for _ in range(4):
-            lease = self.rules.lease(site)
-            if lease.learner:
-                return self._learn(ctx, site)
-            if lease.rule is None:
-                # Cached abstention: discovery for this page only, with
-                # an opportunistic upgrade if it does find a separator.
-                self.engine.run_plan(discovery_plan(), ctx)
-                learned = self._rule_from(ctx, site)
-                if learned is not None:
-                    self.rules.offer(site, learned)
-                    ctx.rule = learned
-                return ctx.to_result()
-            ctx.rule = lease.rule
-            try:
-                self.engine.run_plan(cached_plan(), ctx)
-                return ctx.to_result()
-            except StaleRuleError as error:
-                won = self.rules.report_stale(site, lease.rule)
-                self.observer.on_fallback(ctx, error)
-                ctx.reset_for_discovery()
-                if won:
-                    return self._learn(ctx, site)
-        self.engine.run_plan(discovery_plan(), ctx)
-        return ctx.to_result()
-
-    def _learn(self, ctx: ExtractionContext, site: str) -> ExtractionResult:
-        """Run discovery as the site's elected learner and publish.
-
-        With a fleet registry attached, the process-local election is
-        only a *candidacy*: the node must also win the fleet-wide lease
-        before its publication propagates.  A node denied the lease
-        (another node is already learning the site) still runs discovery
-        for its own page and publishes *locally* -- that wakes this
-        process's waiters without fighting the fleet learner; the
-        fleet's eventual publication supersedes the local rule via
-        :meth:`_adopt_published` / :meth:`adopt_rule`.
-        """
-        granted = (
-            self.registry.acquire(site, self.node_id)
-            if self.registry is not None
-            else True
-        )
-        try:
-            self.engine.run_plan(discovery_plan(), ctx)
-        except BaseException:
-            self.rules.abort(site)  # wake waiters; one of them re-elects
-            if granted and self.registry is not None:
-                self.registry.release(site, self.node_id)
-            raise
-        learned = self._rule_from(ctx, site)
-        fenced = False
-        if granted and self.registry is not None:
-            version = self.registry.publish(site, learned, self.node_id)
-            if version is None:
-                # Fenced: the lease was stolen mid-learn and the
-                # stealer's publication stands.  Forget any recorded
-                # fleet version so adoption below force-installs the
-                # fleet truth instead of keeping our discarded rule.
-                self._fleet_versions.pop(site, None)
-                fenced = True
-            else:
-                self._fleet_versions[site] = version
-        self.rules.publish(site, learned)
-        ctx.rule = learned
-        if fenced:
-            self._adopt_published(site)
-        return ctx.to_result()
-
-    # -- fleet seam ----------------------------------------------------------
-
-    def adopt_rule(
-        self, site: str, rule: ExtractionRule | None, version: int
-    ) -> bool:
-        """Install a rule replicated from the fleet registry.
-
-        The push side of replication: the registry calls this on every
-        ring replica of ``site`` after a publish.  Thread-safe, and a
-        no-op while a local learn is in flight (the local publication
-        wins the cache).  The version is recorded only when the install
-        actually lands -- a refused install must leave the bookkeeping
-        behind the fleet, so the next :meth:`_adopt_published` sees the
-        mismatch and retries once the local learn has completed.
-        """
-        installed = self.rules.install(site, rule)
-        if installed:
-            self._fleet_versions[site] = version
-        return installed
-
-    def _adopt_published(self, site: str) -> None:
-        """Pull-side adoption: converge on the fleet's current rule.
-
-        Covers replicas that joined after the push (or missed it): if
-        the fleet holds a version this core has not seen, install it
-        before leasing so the request applies the fleet rule instead of
-        relearning or serving a stale local one.
-        """
-        assert self.registry is not None
-        published = self.registry.lookup(site)
-        if published is None:
-            return
-        rule, version = published
-        if self._fleet_versions.get(site) != version:
-            self.adopt_rule(site, rule, version)
-
-    @staticmethod
-    def _rule_from(ctx: ExtractionContext, site: str) -> ExtractionRule | None:
-        """The rule a finished discovery implies (None when it abstained)."""
-        if ctx.separator is None or ctx.subtree is None:
-            return None
-        return ExtractionRule(
-            site=site, subtree_path=path_of(ctx.subtree), separator=ctx.separator
-        )
-
     # -- metrics ------------------------------------------------------------
 
     def _preregister_metrics(self) -> None:
@@ -545,8 +357,6 @@ class ServeRuntime:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         extractor_config: ExtractorConfig | None = None,
-        node_id: str = "node-0",
-        registry: RuleRegistryClient | None = None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self.core = ExtractionCore(
@@ -559,8 +369,6 @@ class ServeRuntime:
             metrics=metrics,
             tracer=tracer,
             extractor_config=extractor_config,
-            node_id=node_id,
-            registry=registry,
         )
         # The core owns the machinery; re-expose it so callers (and the
         # existing tests) keep one obvious handle per component.
@@ -571,7 +379,6 @@ class ServeRuntime:
         self.rules = self.core.rules
         self.trees = self.core.trees
         self.adapter = self.core.adapter
-        self.observer = self.core.observer
         self.engine = self.core.engine
         self.lifecycle = Lifecycle(clock=self.clock)
 

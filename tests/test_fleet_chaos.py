@@ -108,7 +108,7 @@ class TestChaosInProcess:
             # truth.  (Were the steal's version returned instead, the
             # zombie would see it "already adopted" and serve its
             # discarded rule forever.)
-            assert owner_runtime.core._fleet_versions[site] == stolen_version
+            assert owner_runtime.rules._fleet_versions[site] == stolen_version
 
             # Zero dropped requests: the in-flight request was answered
             # too (the process "died" for the fleet, but an honest kill

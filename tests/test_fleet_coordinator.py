@@ -203,20 +203,22 @@ class TestSingleLearnerFleetWide:
         published = fleet.registry.lookup(site)
         assert published is not None
         rule, version = published
-        outsider = fleet.nodes[fleet.ring.replicas(site, 3)[-1]].core
+        outsider = fleet.nodes[fleet.ring.replicas(site, 3)[-1]].rules
         # A local learn is in flight on the outsider when the push
         # arrives: install is refused, and the version must NOT be
-        # recorded -- recording it would make _adopt_published treat the
-        # fleet rule as already adopted and never install it.
-        lease = outsider.rules.lease(site)
+        # recorded -- recording it would make adopt_published treat the
+        # fleet rule as already adopted and never install it.  Another
+        # node holds the fleet lease, so the outsider learns privately.
+        assert fleet.registry.acquire(site, "node-external")
+        lease = outsider.lease(site)
         assert lease.learner
         assert outsider.adopt_rule(site, rule, version) is False
         assert site not in outsider._fleet_versions
         # Once the local learn completes, pull-side adoption converges.
-        outsider.rules.publish(site, None)  # local discovery abstained
-        outsider._adopt_published(site)
+        outsider.publish(site, None)  # local discovery abstained
+        outsider.adopt_published(site)
         assert outsider._fleet_versions[site] == version
-        assert outsider.rules.lease(site).rule == rule
+        assert outsider.lease(site).rule == rule
 
 
 class TestAggregation:

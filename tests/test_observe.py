@@ -9,26 +9,29 @@ the two correctness claims the tentpole makes:
   PhaseTimings row the extraction itself produced;
 * a stale-rule fallback wipes every non-prologue timing column -- pinned
   both end-to-end (a real StaleRuleError drive checking every
-  PhaseTimings field) and directly against TimingInstrumentation with a
-  synthetic stage that charges a column outside the old hand-maintained
-  wipe list.
+  PhaseTimings field) and directly against the stage engine and
+  ``ExtractionContext.reset_for_discovery`` with a synthetic stage that
+  charges a column outside the old hand-maintained wipe list.
 """
 
 import dataclasses
 import json
 import threading
+import types
 
 import pytest
 
 from repro.core.pipeline import OminiExtractor
-from repro.core.rules import ExtractionRule, RuleStore, StaleRuleError
-from repro.core.stages.context import ExtractionContext, PhaseTimings
-from repro.core.stages.instrumentation import (
+from repro.core.rules import ExtractionRule, RuleStore
+from repro.core.stages import engine as engine_module
+from repro.core.stages.context import (
     DISCOVERY_COLUMNS,
     PROLOGUE_COLUMNS,
-    TimingInstrumentation,
+    ExtractionContext,
+    PhaseTimings,
     fallback_wipe_columns,
 )
+from repro.core.stages.engine import StageEngine
 from repro.fetch.base import FakeClock
 from repro.observe import (
     Counter,
@@ -325,6 +328,9 @@ class _ChargingStage:
     name = "synthetic_refine"
     timing_column = "refine_objects"
 
+    def run(self, ctx: ExtractionContext) -> None:
+        pass
+
 
 class TestFallbackWipesEveryColumn:
     def test_wipe_list_covers_every_non_prologue_field(self):
@@ -339,13 +345,15 @@ class TestFallbackWipesEveryColumn:
         assert "refine_objects" in wiped  # derived from fields, not the list
         assert "refine_objects" not in DISCOVERY_COLUMNS
 
-    def test_fallback_resets_columns_outside_the_old_list(self):
-        observer = TimingInstrumentation()
+    def test_fallback_resets_columns_outside_the_old_list(self, monkeypatch):
+        ticks = iter([10.0, 10.25])  # the engine's clock: one 0.25 s stage
+        clock = types.SimpleNamespace(perf_counter=lambda: next(ticks))
+        monkeypatch.setattr(engine_module, "time", clock)
         ctx = ExtractionContext(source="<html></html>")
         ctx.timings = _ExtendedTimings(read_file=1.0, parse_page=2.0)
-        observer.on_stage_end(_ChargingStage(), ctx, 0.25)
+        StageEngine().run_stage(_ChargingStage(), ctx)
         assert ctx.timings.refine_objects == 0.25
-        observer.on_fallback(ctx, StaleRuleError("gone"))
+        ctx.reset_for_discovery()
         assert ctx.timings.refine_objects == 0.0  # leaked under the old wipe
         for column in DISCOVERY_COLUMNS:
             assert getattr(ctx.timings, column) == 0.0

@@ -79,6 +79,37 @@ class TestRuleStore:
         assert store.sites() == ["aaa.com", "example.com"]
 
 
+class TestRuleStoreAsRuleSource:
+    def test_lease_elects_a_learner_only_without_a_rule(self, rule):
+        store = RuleStore()
+        assert store.lease("example.com").learner
+        store.put(rule)
+        lease = store.lease("example.com")
+        assert not lease.learner and lease.rule is rule
+
+    def test_report_stale_invalidates_only_the_stored_rule(self, rule):
+        store = RuleStore()
+        newer = ExtractionRule("example.com", "html[1].body[2]", "p")
+        store.put(newer)
+        assert store.report_stale("example.com", rule) is False
+        assert store.get("example.com") is newer
+        assert store.report_stale("example.com", newer) is True
+        assert store.get("example.com") is None
+
+    def test_publish_stores_and_abstention_stores_nothing(self, rule):
+        store = RuleStore()
+        store.publish("example.com", None)
+        store.abort("example.com")
+        assert len(store) == 0
+        store.publish("example.com", rule)
+        assert store.get("example.com") is rule
+
+    def test_offer_has_no_abstention_to_upgrade(self, rule):
+        store = RuleStore()
+        assert store.offer("example.com", rule) is False
+        assert store.get("example.com") is None
+
+
 class TestPersistence:
     def test_save_and_load_round_trip(self, tmp_path, rule):
         path = tmp_path / "rules.json"

@@ -24,8 +24,13 @@ import threading
 import pytest
 
 from repro.core.pipeline import OminiExtractor
-from repro.core.rules import ExtractionRule, StaleRuleError
-from repro.corpus import AdversarialCorpusGenerator, synthesize_sites
+from repro.core.rules import ExtractionRule, RuleStore, StaleRuleError
+from repro.corpus import (
+    TEST_SITES,
+    AdversarialCorpusGenerator,
+    CorpusGenerator,
+    synthesize_sites,
+)
 from repro.fetch.base import FakeClock
 from repro.serve.protocol import ExtractRequest
 from repro.serve.rulecache import SharedRuleCache
@@ -152,3 +157,32 @@ def test_concurrent_requests_on_a_drifted_page_elect_one_relearner(stale_drift_s
     assert counters["rules.relearned"] == 1
     assert counters.get("rules.shared", 0) + counters.get("rules.hits", 0) >= 1
     runtime.drain()
+
+
+def test_serve_and_library_give_the_same_answers(stale_drift_site):
+    """Differential check of the one Section 6.6 loop on both paths.
+
+    The served answer (shared rule cache, tree cache, incremental
+    re-parse) and the library answer (a plain RuleStore) must agree on
+    every request of the same sequence: learn, cached apply, and every
+    drift generation's stale-rule relearn.
+    """
+    _, drift = stale_drift_site
+    pages = CorpusGenerator(max_pages_per_site=3).generate(TEST_SITES) + drift
+    pages.append(drift[-1])  # replay: the last relearned rule applies
+    runtime = ServeRuntime(ServeConfig(workers=1), clock=FakeClock()).start()
+    library = OminiExtractor(rule_store=RuleStore())
+    try:
+        for page in pages:
+            served = runtime.handle(ExtractRequest(html=page.html, site=page.site))
+            assert served.status == 200, served.payload
+            expected = library.extract(page.html, site=page.site)
+            assert served.payload["records"] == [o.text() for o in expected.objects]
+            assert served.payload["separator"] == expected.separator
+            assert served.payload["subtree"] == expected.subtree_path
+            assert served.payload["used_cached_rule"] == expected.used_cached_rule
+    finally:
+        runtime.drain()
+    counters = _counters(runtime)
+    assert counters["rules.relearned"] == len(drift) - 1
+    assert counters.get("rules.hits", 0) >= 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import select
 import signal
 import threading
 
@@ -41,17 +42,39 @@ def _inline(site: str, html: str = LIST_HTML, **kw: object) -> ExtractRequest:
     return ExtractRequest(html=html, site=site, **kw)  # type: ignore[arg-type]
 
 
+class PipeGate:
+    """A fork-shared gate that never waits on its waiters.
+
+    ``multiprocessing.Event.set()`` blocks until every sleeping waiter
+    acknowledges the wake-up, so a waiter SIGKILLed inside ``wait()``
+    hangs the setter forever.  Here opening the gate writes one byte to
+    an inherited pipe and waiters ``select`` on its read end: the byte is
+    never consumed, so the gate stays open for every later waiter, and a
+    dead waiter costs the setter nothing.
+    """
+
+    def __init__(self) -> None:
+        self._read, self._write = os.pipe()
+
+    def set(self) -> None:
+        os.write(self._write, b"1")
+
+    def wait(self, timeout: float) -> bool:
+        readable, _, _ = select.select([self._read], [], [], timeout)
+        return bool(readable)
+
+
 class ForkGateFetcher:
     """An origin that parks every fetch until the test opens the gate.
 
     Built on fork-shared primitives so the gate works across the
     runtime's worker processes: the semaphore tells the test a worker
-    entered the fetch, the event releases it.
+    entered the fetch, the pipe gate releases it.
     """
 
     def __init__(self, pages: dict[str, str]) -> None:
         self.pages = dict(pages)
-        self.gate = _FORK.Event()
+        self.gate = PipeGate()
         self.entered = _FORK.Semaphore(0)
 
     def fetch(self, url: str, *, site: str | None = None) -> FetchResult:

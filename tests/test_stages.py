@@ -12,7 +12,6 @@ from repro.core.stages import (
     Instrumentation,
     Stage,
     StageEngine,
-    TimingInstrumentation,
     cached_plan,
     discovery_plan,
 )
@@ -66,7 +65,7 @@ class TestStageProtocol:
             assert stage.timing_column in valid
 
     def test_engine_matches_monolithic_facade(self):
-        engine = StageEngine(TimingInstrumentation())
+        engine = StageEngine()
         result = engine.extract(make_context(source=simple_page(5)))
         facade = OminiExtractor().extract(simple_page(5))
         assert result.separator == facade.separator == "tr"
@@ -249,6 +248,40 @@ class TestStaleRulePath:
         assert again.used_cached_rule
         assert again.rule == relearned
         assert len(again.objects) == 4
+
+    def test_stale_report_spares_a_rule_another_thread_just_learned(self):
+        """A thread holding the old rule must not delete a fresh one.
+
+        Thread-mode batches share one RuleStore: while this extraction
+        applies the old rule, another thread relearns the site.  The old
+        rule's staleness report loses (it is no longer the stored rule),
+        so the extraction re-leases and applies the fresh rule instead of
+        deleting it and rediscovering for nothing.
+        """
+        page = simple_page(5)
+        learned = OminiExtractor().extract(page)
+        fresh = ExtractionRule(
+            site="s", subtree_path=learned.subtree_path, separator=learned.separator
+        )
+        store = RuleStore()
+        store.put(
+            ExtractionRule(site="s", subtree_path="html[1].body[9]", separator="tr")
+        )
+
+        class ConcurrentLearner(Instrumentation):
+            """Stores the fresh rule the moment the old one is applied."""
+
+            def on_stage_start(self, stage, ctx):
+                if stage.name == "apply_rule" and store.get("s") is not fresh:
+                    store.put(fresh)
+
+        result = OminiExtractor(
+            rule_store=store, instrumentation=ConcurrentLearner()
+        ).extract(page, site="s")
+        assert result.used_cached_rule
+        assert result.rule is fresh
+        assert store.get("s") is fresh
+        assert len(result.objects) == len(learned.objects) == 5
 
     def test_apply_rule_stage_raises_stale(self):
         ctx = make_context(source=simple_page(3))
