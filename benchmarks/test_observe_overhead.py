@@ -5,12 +5,19 @@ opens with ``if not self.enabled: return`` -- one attribute load and a
 branch, no allocation -- so attaching the adapter with tracing off adds
 under 5% to extraction wall-clock.
 
-Methodology: the baseline (no adapter) and the disabled-adapter workload
-are timed *interleaved* over several rounds and compared on their best
-(minimum) round, which cancels machine noise, warm-up, and cache effects
-far better than single-shot means.
+Methodology: a paired comparison.  One pair is one pass over the
+workload in which every page runs through both arms -- the baseline (no
+adapter) and the disabled adapter -- back to back, the arm that goes
+first alternating from page to page and from pass to pass.  Both arms of
+a page therefore share the machine's state of that millisecond, which
+cancels the slow drift a shared box adds to whole-batch timings.  Each
+pass starts from ``gc.collect()`` and runs with the collector disabled,
+so a collection pause lands in neither arm.  The gate is the median of
+the per-pass ratios: a noisy neighbour spoils a pass, not the median.
 """
 
+import gc
+import statistics
 import time
 
 import pytest
@@ -21,7 +28,7 @@ from repro.observe import TracingInstrumentation
 
 pytestmark = pytest.mark.slow
 
-ROUNDS = 7
+PAIRS = 31
 OVERHEAD_CEILING = 1.05  # < 5%
 
 
@@ -43,18 +50,33 @@ def _run(tasks, instrumentation):
     return elapsed
 
 
+def _paired_pass(tasks, disabled, offset):
+    """One pass, both arms per page; returns adapter / baseline seconds."""
+    baseline = adapter = 0.0
+    gc.collect()
+    gc.disable()
+    try:
+        for index, task in enumerate(tasks):
+            if (index + offset) % 2:
+                adapter += _run([task], disabled)
+                baseline += _run([task], None)
+            else:
+                baseline += _run([task], None)
+                adapter += _run([task], disabled)
+    finally:
+        gc.enable()
+    return adapter / baseline
+
+
 def test_disabled_adapter_overhead_under_5_percent(workload):
     disabled = TracingInstrumentation(enabled=False)
-    baseline_times, adapter_times = [], []
     _run(workload, None)  # warm-up: parser caches, imports, allocator
-    for _ in range(ROUNDS):
-        baseline_times.append(_run(workload, None))
-        adapter_times.append(_run(workload, disabled))
-    best_baseline, best_adapter = min(baseline_times), min(adapter_times)
-    ratio = best_adapter / best_baseline
+    _run(workload, disabled)
+    ratios = [_paired_pass(workload, disabled, pair) for pair in range(PAIRS)]
+    ratio = statistics.median(ratios)
     print(
-        f"\nbaseline best={best_baseline * 1e3:.1f}ms "
-        f"disabled-adapter best={best_adapter * 1e3:.1f}ms ratio={ratio:.3f}"
+        f"\nmedian disabled-adapter/baseline ratio over {PAIRS} pairs: "
+        f"{ratio:.3f} (min {min(ratios):.3f}, max {max(ratios):.3f})"
     )
     assert ratio < OVERHEAD_CEILING, (
         f"disabled tracing costs {(ratio - 1) * 100:.1f}% (ceiling 5%)"

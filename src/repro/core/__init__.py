@@ -24,7 +24,6 @@ from repro.core.batch import (
     BatchExtractor,
     BatchResult,
     BatchStats,
-    ExtractionSummary,
     FailedExtraction,
     PageTask,
     parallel_map,
@@ -69,7 +68,6 @@ __all__ = [
     "ExtractionContext",
     "ExtractionResult",
     "ExtractionRule",
-    "ExtractionSummary",
     "ExtractorConfig",
     "FailedExtraction",
     "Instrumentation",

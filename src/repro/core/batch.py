@@ -6,11 +6,9 @@ generation).  :class:`BatchExtractor` is the one batch driver they now
 share: ``extract_many(pages, workers=N)`` runs the staged pipeline over a
 corpus with
 
-* **thread or process pools** (``executor="thread"`` shares one extractor
-  and rule store across workers; ``executor="process"`` ships the picklable
-  :class:`~repro.core.stages.ExtractorConfig` to each worker and returns
-  compact :class:`ExtractionSummary` records, since parsed tag trees are
-  not worth hauling across process boundaries);
+* **a thread pool** -- every worker shares one extractor and one rule
+  store (the multi-process path that ships is
+  :mod:`repro.serve.procpool`);
 * **per-site rule-store reuse** -- pass a :class:`RuleStore` and the first
   page of each site learns the Section 6.6 rule that every later page of
   that site applies via the cached fast path;
@@ -22,9 +20,12 @@ corpus with
   each page is fetched, integrity-verified, and extracted, with fetch
   failures isolated per page and classified by kind (timeout, connection,
   http_status, truncated, corrupted, circuit_open vs plain extraction);
-* **throughput/failure counters** -- :class:`BatchStats` plus the same
-  instrumentation hooks the single-page engine emits
-  (``on_page_start/on_page_end/on_page_error`` and the per-stage hooks).
+* **throughput/failure counts** -- :class:`BatchStats`, computed from the
+  results alone.  Everything finer (stage, fetch, breaker, cache counts
+  and latencies) goes to the caller's observer: the batch hands it to the
+  engine and fires ``on_page_start/on_page_end/on_page_error`` on it, so
+  a :class:`~repro.observe.TracingInstrumentation` collects every number
+  in its :class:`~repro.observe.metrics.MetricsRegistry`.
 
 Results always come back in input order, so ``workers=4`` is
 output-equivalent to sequential execution (pinned by
@@ -34,53 +35,25 @@ output-equivalent to sequential execution (pinned by
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.core.pipeline import OminiExtractor
 from repro.core.rules import RuleStore
-from repro.core.shard import shard_index
 from repro.core.stages.config import ExtractorConfig
-from repro.core.stages.context import ExtractionResult, PhaseTimings
-from repro.core.stages.instrumentation import (
-    CompositeInstrumentation,
-    Instrumentation,
-    StageCounters,
-)
+from repro.core.stages.instrumentation import Instrumentation
 from repro.fetch.base import classify_failure
 
 __all__ = [
     "BatchExtractor",
     "BatchResult",
     "BatchStats",
-    "ExtractionSummary",
     "FailedExtraction",
     "PageTask",
     "parallel_map",
-    "shard_tasks",
 ]
-
-
-def shard_tasks(
-    tasks: Sequence["PageTask"], shards: int
-) -> list[list[tuple[int, "PageTask"]]]:
-    """Group ``(index, task)`` pairs by site shard; a site is never split.
-
-    The same crc32 routing the procpool serve runtime uses
-    (:func:`repro.core.shard.shard_index`): every page of a site lands in
-    the same shard, so one worker process owns the site's rule -- the
-    first page learns it, every later page hits the worker-local cached
-    fast path.  Site-less tasks key on their label, spreading them
-    without disturbing the keyed sites.  Input order is preserved within
-    each shard (rule learning stays first-page).
-    """
-    chunks: list[list[tuple[int, PageTask]]] = [[] for _ in range(shards)]
-    for index, task in enumerate(tasks):
-        key = task.site if task.site is not None else task.label(index)
-        chunks[shard_index(key, shards)].append((index, task))
-    return chunks
 
 
 def parallel_map(fn: Callable, items: Sequence, *, workers: int = 1) -> list:
@@ -140,35 +113,6 @@ class FailedExtraction:
 
 
 @dataclass
-class ExtractionSummary:
-    """Picklable digest of an :class:`ExtractionResult` (process mode)."""
-
-    page: str
-    site: str | None
-    subtree_path: str
-    separator: str | None
-    object_texts: list[str]
-    candidate_objects: int
-    used_cached_rule: bool
-    timings: PhaseTimings
-
-    @classmethod
-    def from_result(
-        cls, result: ExtractionResult, *, page: str, site: str | None
-    ) -> "ExtractionSummary":
-        return cls(
-            page=page,
-            site=site,
-            subtree_path=result.subtree_path,
-            separator=result.separator,
-            object_texts=[obj.text() for obj in result.objects],
-            candidate_objects=result.candidate_objects,
-            used_cached_rule=result.used_cached_rule,
-            timings=result.timings,
-        )
-
-
-@dataclass
 class BatchStats:
     """Throughput and failure counters for one ``extract_many`` call."""
 
@@ -201,17 +145,10 @@ class BatchStats:
 
 @dataclass
 class BatchResult:
-    """Per-page outcomes (input order) plus aggregate counters.
+    """Per-page outcomes (input order) plus aggregate counts."""
 
-    ``counters`` is the batch's own :class:`StageCounters` observer --
-    per-stage call counts and seconds, page/fetch/cache tallies.  In
-    process-pool mode it holds the merged per-worker deltas, so the totals
-    match a thread-pool run of the same workload exactly.
-    """
-
-    results: list  # ExtractionResult | ExtractionSummary | FailedExtraction
+    results: list  # ExtractionResult | FailedExtraction
     stats: BatchStats
-    counters: StageCounters | None = None
 
     def __iter__(self):
         return iter(self.results)
@@ -229,7 +166,7 @@ class BatchResult:
 
 
 class BatchExtractor:
-    """Extract objects from many pages concurrently.
+    """Extract objects from many pages concurrently, on threads.
 
     Usage::
 
@@ -247,19 +184,15 @@ class BatchExtractor:
         batch (and across batches).  Pass ``PageTask(site=...)`` items (or
         use ``extract_files(..., site_from_dir=True)``) to key it.
     instrumentation:
-        Extra observer receiving stage- and page-level hooks.
-    executor:
-        ``"thread"`` (default) or ``"process"``.  Process mode returns
-        :class:`ExtractionSummary` records and keeps a rule store per
-        worker process.
+        Observer receiving stage- and page-level hooks; attach a
+        :class:`~repro.observe.TracingInstrumentation` and read its
+        ``metrics`` for counts beyond :class:`BatchStats`.
     fetcher:
         Any :class:`repro.fetch.base.Fetcher`; enables ``PageTask(url=...)``
         items and :meth:`extract_urls`.  A fetch that raises a classified
         :class:`~repro.fetch.base.FetchError` (or whose body fails the
         integrity check) becomes a :class:`FailedExtraction` carrying that
-        failure kind -- the batch always completes.  Thread executor only:
-        live fetcher state (breakers, caches, counters) does not belong in
-        forked workers.
+        failure kind -- the batch always completes.
     """
 
     def __init__(
@@ -268,17 +201,11 @@ class BatchExtractor:
         *,
         rule_store: RuleStore | None = None,
         instrumentation: Instrumentation | None = None,
-        executor: str = "thread",
         fetcher=None,
     ) -> None:
-        if executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
-        if fetcher is not None and executor != "thread":
-            raise ValueError("fetcher-backed batches require the thread executor")
         self.config = config or ExtractorConfig()
         self.rule_store = rule_store
         self.instrumentation = instrumentation
-        self.executor = executor
         self.fetcher = fetcher
 
     # -- public API ----------------------------------------------------------
@@ -298,9 +225,38 @@ class BatchExtractor:
         ]
         if any(task.url is not None for task in tasks) and self.fetcher is None:
             raise ValueError("PageTask(url=...) items require a fetcher")
-        if self.executor == "process" and workers > 1:
-            return self._run_processes(tasks, workers)
-        return self._run_threads(tasks, workers)
+        observer = self.instrumentation or Instrumentation()
+        extractor = OminiExtractor.from_config(
+            self.config, rule_store=self.rule_store, instrumentation=observer
+        )
+
+        def one(indexed: tuple[int, PageTask]):
+            index, task = indexed
+            observer.on_page_start(task)
+            try:
+                if task.url is not None:
+                    fetched = self.fetcher.fetch(task.url, site=task.site).verify()
+                    result = extractor.extract(fetched.body, site=task.site)
+                elif task.source is not None:
+                    result = extractor.extract(task.source, site=task.site)
+                else:
+                    result = extractor.extract_file(task.path, site=task.site)
+            except Exception as error:  # noqa: BLE001 - isolation is the point
+                observer.on_page_error(task, error)
+                return FailedExtraction(
+                    page=task.label(index),
+                    site=task.site,
+                    error=str(error),
+                    error_type=type(error).__name__,
+                    kind=classify_failure(error),
+                )
+            observer.on_page_end(task, result)
+            return result
+
+        start = time.perf_counter()
+        results = parallel_map(one, list(enumerate(tasks)), workers=workers)
+        elapsed = time.perf_counter() - start
+        return BatchResult(results, _stats(results, elapsed))
 
     def extract_urls(
         self,
@@ -335,208 +291,18 @@ class BatchExtractor:
         ]
         return self.extract_many(tasks, workers=workers)
 
-    # -- thread execution -----------------------------------------------------
 
-    def _run_threads(self, tasks: list[PageTask], workers: int) -> BatchResult:
-        counters = StageCounters()
-        observers: list[Instrumentation] = [counters]
-        if self.instrumentation is not None:
-            observers.append(self.instrumentation)
-        observer = CompositeInstrumentation(observers)
-        extractor = OminiExtractor.from_config(
-            self.config, rule_store=self.rule_store, instrumentation=observer
-        )
-
-        def one(indexed: tuple[int, PageTask]):
-            index, task = indexed
-            observer.on_page_start(task)
-            try:
-                if task.url is not None:
-                    fetched = self.fetcher.fetch(task.url, site=task.site).verify()
-                    result = extractor.extract(fetched.body, site=task.site)
-                elif task.source is not None:
-                    result = extractor.extract(task.source, site=task.site)
-                else:
-                    result = extractor.extract_file(task.path, site=task.site)
-            except Exception as error:  # noqa: BLE001 - isolation is the point
-                observer.on_page_error(task, error)
-                return FailedExtraction(
-                    page=task.label(index),
-                    site=task.site,
-                    error=str(error),
-                    error_type=type(error).__name__,
-                    kind=classify_failure(error),
-                )
-            observer.on_page_end(task, result)
-            return result
-
-        start = time.perf_counter()
-        results = parallel_map(one, list(enumerate(tasks)), workers=workers)
-        elapsed = time.perf_counter() - start
-        return BatchResult(results, self._stats(results, elapsed, counters), counters)
-
-    # -- process execution ----------------------------------------------------
-
-    def _run_processes(self, tasks: list[PageTask], workers: int) -> BatchResult:
-        """Process-pool execution with instrumentation shipped home by value.
-
-        Observers mutated inside worker processes never reach the parent's
-        objects, so every task returns a :class:`_ProcessOutcome` carrying
-        its counter deltas (and spans, when the attached instrumentation is
-        a :class:`~repro.observe.TracingInstrumentation`); the parent
-        merges them so a process-pool batch reports the same counters a
-        thread-pool batch would.  Live per-hook delivery to an arbitrary
-        user observer is a thread-mode feature: here a counting observer
-        gets merged totals and a tracing observer gets absorbed spans.
-
-        Tasks are routed by site shard (:func:`shard_tasks`), one chunk
-        per shard, so all pages of a site run in one worker process and
-        its per-process rule store serves them the cached fast path --
-        the procpool locality trick applied to batch mode.
-        """
-        counters = StageCounters()
-        tracing = self.instrumentation if _is_tracing(self.instrumentation) else None
-        trace_enabled = tracing is not None and tracing.enabled
-        shards = shard_tasks(tasks, workers)
-        start = time.perf_counter()
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_process_worker,
-            initargs=(self.config, self.rule_store is not None, trace_enabled),
-        ) as pool:
-            futures = [
-                pool.submit(_run_process_shard, chunk) for chunk in shards if chunk
-            ]
-            slotted: dict[int, _ProcessOutcome] = {}
-            for future in futures:
-                slotted.update(future.result())
-        outcomes = [slotted[index] for index in range(len(tasks))]
-        elapsed = time.perf_counter() - start
-        results = []
-        for outcome in outcomes:
-            results.append(outcome.result)
-            counters.merge_totals(outcome.counters)
-            if tracing is not None and outcome.spans:
-                tracing.absorb_spans(outcome.spans)
-        if isinstance(self.instrumentation, StageCounters):
-            self.instrumentation.merge_totals(counters.as_totals())
-        return BatchResult(results, self._stats(results, elapsed, counters), counters)
-
-    # -- counters -------------------------------------------------------------
-
-    def _stats(
-        self, results: list, elapsed: float, counters: StageCounters | None
-    ) -> BatchStats:
-        stats = BatchStats(pages=len(results), elapsed=elapsed)
-        for result in results:
-            if isinstance(result, FailedExtraction):
-                stats.failed += 1
-                stats.failure_kinds[result.kind] = (
-                    stats.failure_kinds.get(result.kind, 0) + 1
-                )
-            else:
-                stats.succeeded += 1
-                if getattr(result, "used_cached_rule", False):
-                    stats.cached_rule_hits += 1
-        if counters is not None:
-            stats.fallbacks = counters.fallbacks
-        return stats
-
-
-def _is_tracing(observer) -> bool:
-    """Is ``observer`` a span-collecting adapter we can merge spans into?"""
-    return (
-        observer is not None
-        and hasattr(observer, "absorb_spans")
-        and hasattr(observer, "tracer")
-    )
-
-
-# -- process-pool workers (module level so they pickle) -----------------------
-
-
-@dataclass
-class _ProcessOutcome:
-    """One task's result plus the instrumentation it produced in-worker."""
-
-    result: object  # ExtractionSummary | FailedExtraction
-    counters: dict  # StageCounters.as_totals() delta for this task
-    spans: list = field(default_factory=list)
-
-
-_WORKER_EXTRACTOR: OminiExtractor | None = None
-_WORKER_TRACER = None  # Tracer | None
-
-
-def _init_process_worker(
-    config: ExtractorConfig, use_rules: bool, trace: bool = False
-) -> None:
-    global _WORKER_EXTRACTOR, _WORKER_TRACER
-    _WORKER_EXTRACTOR = OminiExtractor.from_config(
-        config, rule_store=RuleStore() if use_rules else None
-    )
-    if trace:
-        import os
-
-        from repro.observe import Tracer
-
-        # Per-pid id prefix: absorbed spans can never collide with the
-        # parent's (or another worker's) span ids.
-        _WORKER_TRACER = Tracer(id_prefix=f"w{os.getpid()}-")
-    else:
-        _WORKER_TRACER = None
-
-
-def _run_process_shard(
-    chunk: list[tuple[int, PageTask]]
-) -> dict[int, _ProcessOutcome]:
-    """Run one shard's tasks in order inside the current worker process.
-
-    Sequential execution within the shard keeps rule learning first-page
-    (and single-flight trivially, as in the procpool shards); the caller
-    reassembles results into input order by the returned indices.
-    """
-    return {index: _run_process_task((index, task)) for index, task in chunk}
-
-
-def _run_process_task(indexed: tuple[int, PageTask]) -> _ProcessOutcome:
-    index, task = indexed
-    base = _WORKER_EXTRACTOR
-    assert base is not None, "worker initializer did not run"
-    # A fresh counting observer per task makes the counter delta exact
-    # without snapshot arithmetic (tasks run serially within one worker).
-    counters = StageCounters()
-    observers: list[Instrumentation] = [counters]
-    if _WORKER_TRACER is not None:
-        from repro.observe import TracingInstrumentation
-
-        observers.append(TracingInstrumentation(_WORKER_TRACER))
-    observer = CompositeInstrumentation(observers)
-    extractor = OminiExtractor(
-        subtree_finder=base.subtree_finder,
-        separator_finder=base.separator_finder,
-        refinement=base.refinement,
-        rule_store=base.rule_store,
-        instrumentation=observer,
-    )
-    observer.on_page_start(task)
-    try:
-        if task.source is not None:
-            result = extractor.extract(task.source, site=task.site)
+def _stats(results: list, elapsed: float) -> BatchStats:
+    stats = BatchStats(pages=len(results), elapsed=elapsed)
+    for result in results:
+        if isinstance(result, FailedExtraction):
+            stats.failed += 1
+            stats.failure_kinds[result.kind] = (
+                stats.failure_kinds.get(result.kind, 0) + 1
+            )
         else:
-            result = extractor.extract_file(task.path, site=task.site)
-        outcome = ExtractionSummary.from_result(
-            result, page=task.label(index), site=task.site
-        )
-        observer.on_page_end(task, result)
-    except Exception as error:  # noqa: BLE001 - isolation is the point
-        observer.on_page_error(task, error)
-        outcome = FailedExtraction(
-            page=task.label(index),
-            site=task.site,
-            error=str(error),
-            error_type=type(error).__name__,
-            kind=classify_failure(error),
-        )
-    spans = _WORKER_TRACER.drain() if _WORKER_TRACER is not None else []
-    return _ProcessOutcome(outcome, counters.as_totals(), spans)
+            stats.succeeded += 1
+            if result.used_cached_rule:
+                stats.cached_rule_hits += 1
+            stats.fallbacks += result.fallbacks
+    return stats

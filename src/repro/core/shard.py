@@ -1,17 +1,15 @@
 """Site-keyed shard routing: one hash function for every sharded layer.
 
-Three layers route work by site so that per-site state (learned rules,
+Two layers route work by site so that per-site state (learned rules,
 parsed-tree caches, single-flight learner election) stays local to one
 executor:
 
 * :mod:`repro.serve.procpool` routes requests to its pre-forked worker
   processes;
-* :class:`repro.core.batch.BatchExtractor` (process mode) routes batch
-  tasks to its pool workers;
 * :mod:`repro.fleet` hashes the same keys onto its consistent-hash ring
   to pick the serve *node* that owns a site.
 
-They must all agree on the hash, or a site "local" to one layer scatters
+They must agree on the hash, or a site "local" to one layer scatters
 in the next -- so the crc32 routing primitive lives here, beneath all of
 them.  crc32 is deterministic across processes and Python versions
 (``hash()`` is salted per process), cheap, and good enough: balance is

@@ -35,11 +35,7 @@ from repro.core.stages.context import (
 )
 from repro.core.stages.engine import StageEngine
 from repro.core.stages.lanes import ExtractorLane, LaneResult, PipelineLane
-from repro.core.stages.instrumentation import (
-    CompositeInstrumentation,
-    Instrumentation,
-    StageCounters,
-)
+from repro.core.stages.instrumentation import Instrumentation
 from repro.core.stages.plan import (
     ApplyRuleStage,
     CombineStage,
@@ -58,7 +54,6 @@ from repro.core.stages.plan import (
 __all__ = [
     "ApplyRuleStage",
     "CombineStage",
-    "CompositeInstrumentation",
     "ConstructStage",
     "DEFAULT_HEURISTICS",
     "ExtractionContext",
@@ -76,7 +71,6 @@ __all__ = [
     "RefineStage",
     "SeparatorStage",
     "Stage",
-    "StageCounters",
     "StageEngine",
     "SubtreeStage",
     "cached_plan",

@@ -6,8 +6,8 @@ objects, :class:`~repro.core.separator.CombinedSeparatorFinder` held the
 abstention policy (``abstain_below``, ``min_separator_count``), and
 :class:`~repro.core.refinement.RefinementConfig` held the Phase 3 filters.
 :class:`ExtractorConfig` consolidates all of them into a single declarative,
-*picklable* value -- picklable so :class:`~repro.core.batch.BatchExtractor`
-can ship the exact same configuration to process-pool workers.
+picklable value, so a batch, a serve worker process and an evaluation lane
+all build their extractors from the same description.
 
 Heuristics are named by their paper acronyms (``"SD"``, ``"RP"``, ...) and
 instantiated through :data:`HEURISTIC_REGISTRY`; profiles are plain

@@ -113,6 +113,9 @@ class ExtractionResult:
     timings: PhaseTimings
     used_cached_rule: bool = False
     rule: ExtractionRule | None = None
+    #: Stale-rule fallbacks this extraction took.  More than one happens
+    #: only when threads race to relearn the same site.
+    fallbacks: int = 0
 
     @property
     def subtree_path(self) -> str:
@@ -164,6 +167,7 @@ class ExtractionContext:
 
     # -- bookkeeping -----------------------------------------------------
     timings: PhaseTimings = field(default_factory=PhaseTimings)
+    fallbacks: int = 0
 
     def reset_for_discovery(self) -> None:
         """Drop everything a failed cached-rule plan produced.
@@ -172,8 +176,10 @@ class ExtractionContext:
         fallback discovery plan so the rerun starts from a clean slate
         (parse and read artifacts are kept -- the page itself is fine),
         and the final timing row reflects only the run that produced the
-        objects.
+        objects.  It is the engine's only fallback point, so it also
+        counts the fallback.
         """
+        self.fallbacks += 1
         for column in fallback_wipe_columns(self.timings):
             setattr(self.timings, column, 0.0)
         self.subtree = None
@@ -199,4 +205,5 @@ class ExtractionContext:
             timings=self.timings,
             used_cached_rule=self.used_cached_rule,
             rule=self.rule,
+            fallbacks=self.fallbacks,
         )

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from repro.core.pipeline import OminiExtractor, PhaseTimings
 from repro.core.rules import RuleStore
-from repro.core.stages.config import ExtractorConfig
 from repro.corpus.fetcher import PageCache
 
 #: Column order of Tables 16/17.
@@ -72,8 +71,6 @@ def time_pipeline(
     site: str | None = None,
     repetitions: int = 10,
     use_rules: bool = False,
-    extractor: OminiExtractor | None = None,
-    config: ExtractorConfig | None = None,
     adapter=None,
 ) -> TimingBreakdown:
     """Time the extractor over cached pages, ``repetitions`` runs per page.
@@ -83,32 +80,20 @@ def time_pipeline(
     configuration.  Without it every run performs full discovery (Table 16).
     Runs are sequential on purpose (concurrency would distort per-phase
     wall-clock); each row is the stage engine's uniform timing row, so
-    discovery and cached runs carry the same columns.  ``config`` builds
-    the extractor from a consolidated :class:`ExtractorConfig`.
+    discovery and cached runs carry the same columns.
 
     Pass a :class:`~repro.observe.TracingInstrumentation` as ``adapter``
-    and the table rows are instead rebuilt from the spans it collects
+    and it becomes the extractor's observer: the table rows are then
+    rebuilt from the spans it collects
     (:func:`~repro.observe.phase_timings_from_spans`) -- stage spans carry
     the engine's own elapsed measurements, so the span view is
     byte-identical to the direct :class:`PhaseTimings` rows while also
     leaving the full trace and latency histograms on the adapter
     (``tests/test_observe.py`` pins the equality exactly).
     """
-    if extractor is None:
-        extractor = OminiExtractor.from_config(
-            config, rule_store=RuleStore() if use_rules else None
-        )
-    elif use_rules and extractor.rule_store is None:
-        extractor.rule_store = RuleStore()
-    if adapter is not None:
-        if extractor.instrumentation is None:
-            extractor.instrumentation = adapter
-        else:
-            from repro.core.stages.instrumentation import CompositeInstrumentation
-
-            extractor.instrumentation = CompositeInstrumentation(
-                [extractor.instrumentation, adapter]
-            )
+    extractor = OminiExtractor.from_config(
+        rule_store=RuleStore() if use_rules else None, instrumentation=adapter
+    )
     breakdown = TimingBreakdown(label, repetitions=repetitions)
     paths = cache.page_paths(site)
     if use_rules:

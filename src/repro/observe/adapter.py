@@ -12,6 +12,10 @@ cache lookups.  This adapter turns those hooks into
   :class:`~repro.observe.metrics.MetricsRegistry`
   (naming scheme documented in :mod:`repro.observe.metrics`).
 
+It is the library's one telemetry sink: page, extract, fallback, stage,
+fetch, breaker and cache counts all live in its registry, under the
+names the serve runtime exports.  A batch keeps no counters of its own.
+
 Cheap-off guard: every hook begins with ``if not self.enabled: return`` --
 one attribute load and a branch, no allocation -- so an adapter attached
 with tracing disabled adds no measurable hot-path cost
@@ -232,35 +236,6 @@ class TracingInstrumentation(Instrumentation):
         if not self.enabled:
             return
         self.metrics.counter("cache.misses").inc()
-
-    # -- cross-process merge ------------------------------------------------
-
-    def absorb_spans(self, spans: list[Span]) -> None:
-        """Merge spans a process-pool worker shipped home.
-
-        Spans land in the tracer, and counters + stage/extract/page
-        durations are re-derived into the same registry entries the thread
-        path fills live, so a process-pool run exports the same metric
-        names with the same totals (worker-local registries are discarded).
-        """
-        self.tracer.absorb(spans)
-        for span in spans:
-            if span.name == "extract":
-                if span.status == "ok":
-                    self.metrics.counter("extract.pages").inc()
-                    self.metrics.histogram("extract.seconds").observe(span.duration)
-                else:
-                    self.metrics.counter("extract.errors").inc()
-            elif span.name == "page":
-                ok = span.status == "ok"
-                self.metrics.counter("page.success" if ok else "page.error").inc()
-                self.metrics.histogram("page.seconds").observe(span.duration)
-            elif span.name == "fallback":
-                self.metrics.counter("fallback.count").inc()
-            elif "column" in span.attributes and span.status == "ok":
-                self.metrics.histogram(f"stage.{span.name}.seconds").observe(
-                    span.duration
-                )
 
 
 def phase_timings_from_spans(spans: list[Span]) -> PhaseTimings:

@@ -4,16 +4,14 @@ import pytest
 
 from repro.core.batch import (
     BatchExtractor,
-    ExtractionSummary,
     FailedExtraction,
     PageTask,
     parallel_map,
-    shard_tasks,
 )
-from repro.core.shard import shard_index
 from repro.core.rules import RuleStore
 from repro.core.stages import ExtractorConfig
 from repro.corpus import CorpusGenerator, TEST_SITES
+from repro.observe import TracingInstrumentation
 
 from tests.test_pipeline import simple_page
 
@@ -122,13 +120,20 @@ class TestRuleReuse:
 
     def test_stale_rule_fallback_counted(self):
         store = RuleStore()
-        batch = BatchExtractor(rule_store=store)
+        adapter = TracingInstrumentation()
+        batch = BatchExtractor(rule_store=store, instrumentation=adapter)
         batch.extract_many([PageTask(source=simple_page(4), site="s")])
         redesigned = simple_page(4).replace(
             "<table>", "<div><i>new!</i></div><table>"
         )
         outcome = batch.extract_many([PageTask(source=redesigned, site="s")])
-        assert outcome.stats.fallbacks == 1
+        (result,) = outcome.results
+        assert (
+            outcome.stats.fallbacks
+            == result.fallbacks
+            == adapter.metrics.counter("fallback.count").value
+            == 1
+        )
         assert outcome.stats.cached_rule_hits == 0
         assert len(outcome.results[0].objects) == 4
 
@@ -157,73 +162,6 @@ class TestExtractFiles:
         assert outcome.stats.pages_per_second > 0
         as_dict = outcome.stats.as_dict()
         assert as_dict["pages"] == 2 and as_dict["failed"] == 0
-
-
-class TestProcessExecutor:
-    def test_returns_picklable_summaries(self):
-        batch = BatchExtractor(executor="process")
-        outcome = batch.extract_many([simple_page(4), simple_page(6)], workers=2)
-        assert all(isinstance(r, ExtractionSummary) for r in outcome.results)
-        assert [len(r.object_texts) for r in outcome.results] == [4, 6]
-        assert all(r.separator == "tr" for r in outcome.results)
-
-    def test_matches_thread_results(self):
-        pages = [simple_page(n) for n in (3, 5, 7)]
-        threads = BatchExtractor().extract_many(pages, workers=2)
-        processes = BatchExtractor(executor="process").extract_many(pages, workers=2)
-        for thread_result, process_result in zip(threads, processes, strict=True):
-            assert thread_result.separator == process_result.separator
-            assert [
-                o.text() for o in thread_result.objects
-            ] == process_result.object_texts
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            BatchExtractor(executor="fiber")
-
-
-class TestShardStability:
-    """Process-mode tasks route by site hash, like procpool and the fleet."""
-
-    def test_same_site_never_splits_across_shards(self):
-        tasks = [
-            PageTask(source="<html/>", site=f"site-{n % 5}.example", page_id=str(n))
-            for n in range(40)
-        ]
-        for shards in (2, 3, 4, 8):
-            chunks = shard_tasks(tasks, shards)
-            owner: dict[str, int] = {}
-            for shard, chunk in enumerate(chunks):
-                for _, task in chunk:
-                    assert owner.setdefault(task.site, shard) == shard
-
-    def test_shard_assignment_matches_crc32_and_is_stable(self):
-        tasks = [PageTask(source="<html/>", site=s) for s in ("a.com", "b.com")]
-        first = shard_tasks(tasks, 4)
-        again = shard_tasks(tasks, 4)
-        assert [
-            [(i, t.site) for i, t in chunk] for chunk in first
-        ] == [[(i, t.site) for i, t in chunk] for chunk in again]
-        for shard, chunk in enumerate(first):
-            for _, task in chunk:
-                assert shard == shard_index(task.site, 4)
-
-    def test_siteless_tasks_key_on_label(self):
-        tasks = [PageTask(source="<html/>") for _ in range(6)]
-        chunks = shard_tasks(tasks, 3)
-        indices = sorted(i for chunk in chunks for i, _ in chunk)
-        assert indices == list(range(6))
-        for shard, chunk in enumerate(chunks):
-            for index, task in chunk:
-                assert shard == shard_index(task.label(index), 3)
-
-    def test_sharded_process_results_keep_input_order(self, corpus_pages):
-        tasks = [
-            PageTask(source=p.html, site=p.site, page_id=f"p{i}")
-            for i, p in enumerate(corpus_pages)
-        ]
-        outcome = BatchExtractor(executor="process").extract_many(tasks, workers=3)
-        assert [r.page for r in outcome.results] == [t.page_id for t in tasks]
 
 
 class TestConfigPlumbsThrough:

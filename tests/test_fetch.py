@@ -7,7 +7,6 @@ import urllib.error
 import pytest
 
 from repro.aggregate import HttpProvider
-from repro.core.stages.instrumentation import StageCounters
 from repro.fetch import (
     CachingFetcher,
     CircuitBreaker,
@@ -30,6 +29,7 @@ from repro.fetch import (
     site_key,
 )
 from repro.fetch.retry import CLOSED, HALF_OPEN, OPEN
+from repro.observe import TracingInstrumentation
 
 HTML = "<ul>" + "".join(f"<li>item {i} details</li>" for i in range(4)) + "</ul>"
 
@@ -109,19 +109,21 @@ class TestResilientFetcher:
         assert inner.calls == 1
 
     def test_counters_see_retries_and_outcomes(self):
-        counters = StageCounters()
+        adapter = TracingInstrumentation()
         fetcher = ResilientFetcher(
             _FailNTimes(1, FetchConnectionError("down")),
             RetryPolicy(retries=2),
             None,
             FakeClock(),
-            counters,
+            adapter,
         )
         fetcher.fetch("http://a/x")
-        assert counters.fetch_requests == 1
-        assert counters.fetch_retries == 1
-        assert counters.fetch_successes == 1
-        assert counters.fetch_attempts == 2
+        requests = adapter.metrics.counter("fetch.requests").value
+        retries = adapter.metrics.counter("fetch.retries").value
+        assert requests == 1
+        assert retries == 1
+        assert adapter.metrics.counter("fetch.success").value == 1
+        assert requests + retries == 2  # attempts: every first try + retry
 
 
 class TestCircuitBreaker:
@@ -360,17 +362,19 @@ class TestCachingFetcher:
         assert fetched_at > 1e9  # epoch seconds, not seconds-since-boot
 
     def test_observer_sees_hits_and_misses(self, tmp_path):
-        counters = StageCounters()
+        adapter = TracingInstrumentation()
         cache = CachingFetcher(
             StaticFetcher({"http://s.test/p": HTML}),
             tmp_path / "cache",
             clock=FakeClock(),
-            observer=counters,
+            observer=adapter,
         )
         cache.fetch("http://s.test/p")
         cache.fetch("http://s.test/p")
-        assert (counters.cache_hits, counters.cache_misses) == (1, 1)
-        assert counters.cache_hit_rate == 0.5
+        hits = adapter.metrics.counter("cache.hits").value
+        misses = adapter.metrics.counter("cache.misses").value
+        assert (hits, misses) == (1, 1)
+        assert hits / (hits + misses) == 0.5
 
 
 class TestFaultInjector:

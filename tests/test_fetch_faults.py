@@ -16,7 +16,6 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.core.batch import BatchExtractor, FailedExtraction
-from repro.core.stages.instrumentation import StageCounters
 from repro.corpus import CorpusGenerator, TEST_SITES
 from repro.fetch import (
     CachingFetcher,
@@ -29,6 +28,7 @@ from repro.fetch import (
     StaticFetcher,
 )
 from repro.fetch.retry import CLOSED, HALF_OPEN, OPEN
+from repro.observe import TracingInstrumentation
 
 #: fault kind -> the failure kind the taxonomy classifies it as.
 KIND_OF_FAULT = {
@@ -66,20 +66,31 @@ def chaos_stack(
 ):
     """CachingFetcher? -> ResilientFetcher -> FaultInjector -> StaticFetcher."""
     clock = FakeClock()
-    counters = StageCounters()
+    adapter = TracingInstrumentation(clock=clock)
     injector = FaultInjectingFetcher(
         StaticFetcher(urls), rate=rate, seed=seed, kinds=kinds, timeout=5.0, clock=clock
     )
     breaker = CircuitBreaker(
-        failure_threshold=threshold, cooldown=cooldown, clock=clock, observer=counters
+        failure_threshold=threshold, cooldown=cooldown, clock=clock, observer=adapter
     )
     policy = RetryPolicy(retries=retries, seed=seed)
-    fetcher = ResilientFetcher(injector, policy, breaker, clock, counters)
+    fetcher = ResilientFetcher(injector, policy, breaker, clock, adapter)
     if cache_dir is not None:
         fetcher = CachingFetcher(
-            fetcher, cache_dir, ttl=None, clock=clock, observer=counters
+            fetcher, cache_dir, ttl=None, clock=clock, observer=adapter
         )
-    return fetcher, injector, breaker, policy, clock, counters
+    return fetcher, injector, breaker, policy, clock, adapter
+
+
+def breaker_ledger(adapter):
+    """``{(old, new): count}`` rebuilt from the ``breaker.<old>_to_<new>``
+    counters the adapter keeps."""
+    counters = adapter.metrics.snapshot()["counters"]
+    return {
+        tuple(name[len("breaker.") :].split("_to_")): count
+        for name, count in counters.items()
+        if name.startswith("breaker.")
+    }
 
 
 # -- per-kind classification --------------------------------------------------
@@ -247,7 +258,7 @@ def test_seeded_chaos_acceptance_run(corpus_urls, tmp_path):
     """
     RATE, SEED, RETRIES, THRESHOLD, COOLDOWN = 0.35, 2001, 2, 4, 60.0
 
-    fetcher, injector, breaker, policy, clock, counters = chaos_stack(
+    fetcher, injector, breaker, policy, clock, adapter = chaos_stack(
         corpus_urls,
         rate=RATE,
         seed=SEED,
@@ -274,13 +285,14 @@ def test_seeded_chaos_acceptance_run(corpus_urls, tmp_path):
         policy,
         lambda url: urlsplit(url).netloc,
     )
-    assert counters.fetch_requests == predicted["requests"]
-    assert counters.fetch_retries == predicted["retries"]
-    assert counters.fetch_successes == predicted["successes"]
-    assert counters.fetch_failures == predicted["failures"]
-    assert counters.breaker_transitions == predicted["transitions"]
-    assert counters.cache_hits == 0  # first pass: nothing cached yet
-    assert counters.cache_misses == 200
+    metrics = adapter.metrics
+    assert metrics.counter("fetch.requests").value == predicted["requests"]
+    assert metrics.counter("fetch.retries").value == predicted["retries"]
+    assert metrics.counter("fetch.success").value == predicted["successes"]
+    assert metrics.counter("fetch.failures").value == predicted["failures"]
+    assert breaker_ledger(adapter) == predicted["transitions"]
+    assert metrics.counter("cache.hits").value == 0  # first pass: nothing cached yet
+    assert metrics.counter("cache.misses").value == 200
 
     # Every failure is classified, and classified *correctly* per the plan;
     # every success is byte-identical to the fault-free run.
@@ -308,7 +320,7 @@ def test_seeded_chaos_acceptance_run(corpus_urls, tmp_path):
     # still byte-identical (served from disk, integrity facts intact).
     succeeded_first = 200 - predicted["failures"]
     rerun = BatchExtractor(fetcher=fetcher).extract_urls(corpus_urls)
-    assert counters.cache_hits == succeeded_first
+    assert metrics.counter("cache.hits").value == succeeded_first
     for url, result, reference in zip(corpus_urls, rerun.results, clean.results, strict=True):
         if expected[url] is None:
             assert [o.text() for o in result.objects] == [

@@ -1,39 +1,19 @@
 """Reflection contract for the instrumentation hook surface.
 
-CompositeInstrumentation used to hand-write one forwarder per hook, so a
-hook added to the base class was silently dropped for every composed
-observer (the batch engine composes StageCounters with the user's
-observer on every run).  The composite now *generates* its forwarders
-from ``HOOK_NAMES``; these tests enumerate every hook by reflection so a
-future hook cannot regress either the composite or the tracing adapter.
+``HOOK_NAMES`` enumerates every hook on the base observer.  These tests
+check it by reflection, and check that every ``on_*`` method the tracing
+adapter defines is a real hook with the base signature, so a typo'd or
+renamed hook cannot silently stop firing.
 """
 
 import inspect
 
-from repro.core.stages.instrumentation import (
-    HOOK_NAMES,
-    CompositeInstrumentation,
-    Instrumentation,
-    StageCounters,
-)
+from repro.core.stages.instrumentation import HOOK_NAMES, Instrumentation
 from repro.observe import TracingInstrumentation
 
 
 def _hook_signature(name):
     return inspect.signature(getattr(Instrumentation, name))
-
-
-class _Recorder(Instrumentation):
-    """Counts every hook invocation by name."""
-
-    def __init__(self):
-        self.calls = []
-
-    def __getattribute__(self, name):
-        if name.startswith("on_"):
-            calls = object.__getattribute__(self, "calls")
-            return lambda *a, **k: calls.append(name)
-        return object.__getattribute__(self, name)
 
 
 def _dummy_args(name):
@@ -73,53 +53,20 @@ class TestHookNames:
         assert expected <= set(HOOK_NAMES)
 
 
-class TestCompositeForwardsEveryHook:
-    def test_every_hook_reaches_every_observer(self):
-        """The satellite's regression pin: iterate every hook on the base
-        class and fail if the composite does not forward it."""
-        first, second = _Recorder(), _Recorder()
-        composite = CompositeInstrumentation([first, second])
-        for name in HOOK_NAMES:
-            getattr(composite, name)(*_dummy_args(name))
-        assert first.calls == list(HOOK_NAMES)
-        assert second.calls == list(HOOK_NAMES)
-
-    def test_forwarders_are_generated_not_hand_written(self):
-        for name in HOOK_NAMES:
-            method = getattr(CompositeInstrumentation, name)
-            assert method.__qualname__ == f"CompositeInstrumentation.{name}"
-            assert method is not getattr(Instrumentation, name)
-
-    def test_observers_called_in_order(self):
-        order = []
-
-        class Tagged(Instrumentation):
-            def __init__(self, tag):
-                self.tag = tag
-
-            def on_cache_hit(self, url):
-                order.append(self.tag)
-
-        composite = CompositeInstrumentation([Tagged("a"), Tagged("b")])
-        composite.on_cache_hit("u")
-        assert order == ["a", "b"]
-
-
 class TestObserversCoverTheSurface:
-    def test_stage_counters_overrides_are_real_hooks(self):
-        """Every ``on_*`` method an observer defines must exist on the base
+    def test_adapter_overrides_are_hooks(self):
+        """Every ``on_*`` method the adapter defines must exist on the base
         class with the same signature -- catches typos like
         ``on_fetch_ended`` that would never be called."""
-        for cls in (StageCounters, TracingInstrumentation):
-            for name, member in vars(cls).items():
-                if not (name.startswith("on_") and callable(member)):
-                    continue
-                assert name in HOOK_NAMES, f"{cls.__name__}.{name} is not a hook"
-                base_params = list(_hook_signature(name).parameters)
-                impl_params = list(inspect.signature(member).parameters)
-                assert len(impl_params) == len(base_params), (
-                    f"{cls.__name__}.{name} arity differs from the base hook"
-                )
+        for name, member in vars(TracingInstrumentation).items():
+            if not (name.startswith("on_") and callable(member)):
+                continue
+            assert name in HOOK_NAMES, f"TracingInstrumentation.{name} is not a hook"
+            base_params = list(_hook_signature(name).parameters)
+            impl_params = list(inspect.signature(member).parameters)
+            assert len(impl_params) == len(base_params), (
+                f"TracingInstrumentation.{name} arity differs from the base hook"
+            )
 
     def test_base_hooks_are_noops(self):
         observer = Instrumentation()

@@ -231,13 +231,14 @@ class TestStaleRulePath:
     def test_invalidate_relearn_then_fast_path_again(self):
         store = RuleStore()
         extractor = OminiExtractor(rule_store=store)
-        extractor.extract(simple_page(4), site="s")
+        learned = extractor.extract(simple_page(4), site="s")
         stale = store.get("s")
 
         redesigned = simple_page(4).replace(
             "<table>", "<div><i>new!</i></div><table>"
         )
         healed = extractor.extract(redesigned, site="s")
+        assert (learned.fallbacks, healed.fallbacks) == (0, 1)
         assert not healed.used_cached_rule
         assert len(healed.objects) == 4
         relearned = store.get("s")
