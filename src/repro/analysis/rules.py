@@ -28,9 +28,6 @@ Each rule encodes a contract a previous PR fixed by hand after it broke:
 * **REP008** -- ``threading.Thread`` constructed without ``name=``:
   anonymous ``Thread-N`` labels make stack dumps and span attribution
   useless in the multi-threaded serve runtime and batch engine.
-* **REP009** -- legacy ``tokenize()`` outside ``repro.html``: the fused
-  parse engine scans a page exactly once; materializing a token list
-  re-buys the allocations the fusion removed.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ __all__ = [
     "Rep006StageMutatesSelf",
     "Rep007PrintInLibrary",
     "Rep008UnnamedThread",
-    "Rep009LegacyTokenize",
     "Rep010FleetNetworkSeam",
     "default_rules",
     "instrumentation_base_names",
@@ -525,53 +521,6 @@ class Rep008UnnamedThread(Rule):
     visitor_class = _Rep008Visitor
 
 
-# -- REP009: legacy list-materializing tokenize() ------------------------------
-
-#: Call spellings that materialize the full token list.
-_LEGACY_TOKENIZE_CALLS = frozenset({"tokenize", "tokenizer.tokenize"})
-
-
-class _Rep009Visitor(RuleVisitor):
-    def handle_call(self, node: ast.Call) -> None:
-        name = dotted_name(node.func)
-        if name is None:
-            return
-        if name in _LEGACY_TOKENIZE_CALLS or name.endswith("html.tokenizer.tokenize"):
-            self.report(
-                node,
-                "tokenize() materializes the full token list; stream "
-                "through iter_tokens()/iter_normalize() or use the fused "
-                "parse_document()/parse_html() single-pass path",
-            )
-
-    def handle_import_from(self, node: ast.ImportFrom) -> None:
-        if node.module is None or not node.module.endswith("html.tokenizer"):
-            return
-        for alias in node.names:
-            if alias.name == "tokenize":
-                self.report(
-                    node,
-                    "'from repro.html.tokenizer import tokenize' pulls in "
-                    "the legacy list-materializing shim; import "
-                    "iter_tokens (or rely on parse_document) instead",
-                )
-
-
-class Rep009LegacyTokenize(Rule):
-    rule_id = "REP009"
-    title = "no legacy tokenize() list materialization outside repro.html"
-    invariant = (
-        "the fused parse engine exists so pages are scanned exactly once "
-        "with no intermediate token list; pipeline code that calls the "
-        "legacy tokenize() shim silently re-buys the allocation cost the "
-        "fusion removed (the shim survives only for repro.html internals, "
-        "debugging, and equivalence tests)"
-    )
-    scoped_paths = ("repro/*",)
-    allowed_paths = ("repro/html/*",)
-    visitor_class = _Rep009Visitor
-
-
 # -- REP010: network I/O in repro.fleet outside the transport seam -------------
 
 #: Modules that open real connections.  ``urllib.parse`` (pure string
@@ -653,7 +602,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     Rep006StageMutatesSelf,
     Rep007PrintInLibrary,
     Rep008UnnamedThread,
-    Rep009LegacyTokenize,
     Rep010FleetNetworkSeam,
 )
 

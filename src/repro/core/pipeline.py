@@ -1,7 +1,9 @@
 """The end-to-end Omini pipeline (Figure 3 of the paper).
 
-:class:`OminiExtractor` is the friendly single-page facade over the staged
-pipeline in :mod:`repro.core.stages`:
+:class:`OminiExtractor` is the one extractor value over the staged pipeline
+in :mod:`repro.core.stages` -- batch extraction, wrapper generation, the
+evaluation lanes and the serve core all build theirs with
+:meth:`OminiExtractor.from_config`:
 
 1. read + normalize + parse (``ReadStage`` / ``ParseStage``),
 2. choose the minimal object-rich subtree and the object separator
@@ -30,15 +32,8 @@ from dataclasses import dataclass, field
 
 from repro.core.objects import ExtractedObject
 from repro.core.refinement import RefinementConfig
-from repro.core.rules import RuleStore
-from repro.core.separator import (
-    CombinedSeparatorFinder,
-    IPSHeuristic,
-    PPHeuristic,
-    RPHeuristic,
-    SBHeuristic,
-    SDHeuristic,
-)
+from repro.core.rules import RuleSource, RuleStore
+from repro.core.separator import CombinedSeparatorFinder
 from repro.core.stages.config import ExtractorConfig
 from repro.core.stages.context import (
     ExtractionContext,
@@ -56,13 +51,6 @@ __all__ = [
     "PhaseTimings",
     "extract_objects",
 ]
-
-
-def _default_separator_finder() -> CombinedSeparatorFinder:
-    """The paper's best combination: RSIPB (all five heuristics)."""
-    return CombinedSeparatorFinder(
-        [RPHeuristic(), SDHeuristic(), IPSHeuristic(), PPHeuristic(), SBHeuristic()]
-    )
 
 
 @dataclass
@@ -86,8 +74,10 @@ class OminiExtractor:
     refinement:
         Phase 3 refinement thresholds; None uses the defaults.
     rule_store:
-        Optional :class:`RuleStore` enabling the Section 6.6 cached-rule
-        fast path (pass ``site=`` to :meth:`extract`).
+        Optional :class:`~repro.core.rules.RuleSource` enabling the
+        Section 6.6 cached-rule fast path (pass ``site=`` to
+        :meth:`extract`): a :class:`RuleStore`, or the serve runtime's
+        single-flight shared cache.
     instrumentation:
         Optional observer receiving the stage hooks (the engine fills
         :class:`PhaseTimings` either way).
@@ -98,18 +88,24 @@ class OminiExtractor:
 
     subtree_finder: CombinedSubtreeFinder = field(default_factory=CombinedSubtreeFinder)
     separator_finder: CombinedSeparatorFinder = field(
-        default_factory=_default_separator_finder
+        default_factory=lambda: ExtractorConfig().build_separator_finder()
     )
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
-    rule_store: RuleStore | None = None
+    rule_store: RuleSource | None = None
     instrumentation: Instrumentation | None = None
+    #: Built once from ``instrumentation``; stateless between calls, so
+    #: one extractor may run pages concurrently.
+    engine: StageEngine = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.engine = StageEngine(self.instrumentation or Instrumentation())
 
     @classmethod
     def from_config(
         cls,
         config: ExtractorConfig | None = None,
         *,
-        rule_store: RuleStore | None = None,
+        rule_store: RuleSource | None = None,
         instrumentation: Instrumentation | None = None,
     ) -> "OminiExtractor":
         """Build an extractor from one consolidated config object."""
@@ -122,10 +118,6 @@ class OminiExtractor:
             instrumentation=instrumentation,
         )
 
-    def config(self) -> ExtractorConfig:
-        """Snapshot this extractor's knobs as an :class:`ExtractorConfig`."""
-        return ExtractorConfig.from_extractor(self)
-
     # -- public API ----------------------------------------------------------
 
     def extract(self, source: str, *, site: str | None = None) -> ExtractionResult:
@@ -135,24 +127,24 @@ class OminiExtractor:
         applied when available (falling back to discovery if stale) and a
         freshly discovered rule is stored for next time.
         """
-        return self._engine().extract(self._context(source=source, site=site))
+        return self.engine.extract(self.context(source=source, site=site))
 
     def extract_file(self, path, *, site: str | None = None) -> ExtractionResult:
         """Extract from a file on disk, timing the read (Table 16 column 1)."""
-        return self._engine().extract(self._context(path=path, site=site))
+        return self.engine.extract(self.context(path=path, site=site))
 
     def extract_tree(self, root: TagNode) -> ExtractionResult:
         """Run Phases 2-3 on an already-parsed tag tree."""
-        return self._engine().extract(self._context(root=root))
+        return self.engine.extract(self.context(root=root))
 
-    # -- internals -----------------------------------------------------------
+    def context(self, **inputs) -> ExtractionContext:
+        """A fresh context carrying this extractor's components.
 
-    def _engine(self) -> StageEngine:
-        if self.instrumentation is None:
-            return StageEngine()
-        return StageEngine(self.instrumentation)
-
-    def _context(self, **inputs) -> ExtractionContext:
+        ``inputs`` are :class:`ExtractionContext` input fields (``source``,
+        ``path``, ``site``, ``root``, ``parser``); run the context with
+        ``self.engine.extract(ctx)``.  Callers that keep their own tree
+        caches (the serve core) pass ``root`` or set ``parser`` this way.
+        """
         return ExtractionContext(
             subtree_finder=self.subtree_finder,
             separator_finder=self.separator_finder,

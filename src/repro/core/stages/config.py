@@ -11,15 +11,16 @@ all build their extractors from the same description.
 
 Heuristics are named by their paper acronyms (``"SD"``, ``"RP"``, ...) and
 instantiated through :data:`HEURISTIC_REGISTRY`; profiles are plain
-name -> probability-tuple maps (Table 10/13 shape).  ``build_extractor()``
-materializes the classic facade; the stage engine consumes the built
-components through :class:`~repro.core.stages.context.ExtractionContext`.
+name -> probability-tuple maps (Table 10/13 shape).  The ``build_*``
+methods turn the description into live components; the one place that
+assembles them into an extractor is
+:meth:`repro.core.pipeline.OminiExtractor.from_config`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.core.refinement import RefinementConfig
 from repro.core.separator import (
@@ -34,9 +35,6 @@ from repro.core.separator import (
     SDHeuristic,
 )
 from repro.core.subtree import CombinedSubtreeFinder
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.pipeline import OminiExtractor
 
 #: Paper acronym -> heuristic factory (the five Omini heuristics plus the
 #: two BYU baseline heuristics, so Table 19/20 configurations are also
@@ -119,49 +117,3 @@ class ExtractorConfig:
 
     def build_refinement(self) -> RefinementConfig:
         return replace(self.refinement)
-
-    def build_extractor(self, *, rule_store=None) -> "OminiExtractor":
-        """Materialize the classic :class:`OminiExtractor` facade."""
-        from repro.core.pipeline import OminiExtractor
-
-        return OminiExtractor(
-            subtree_finder=self.build_subtree_finder(),
-            separator_finder=self.build_separator_finder(),
-            refinement=self.build_refinement(),
-            rule_store=rule_store,
-        )
-
-    # -- reverse mapping --------------------------------------------------
-
-    @classmethod
-    def from_extractor(cls, extractor: "OminiExtractor") -> "ExtractorConfig":
-        """Best-effort config snapshot of an assembled extractor.
-
-        Exact for extractors whose heuristics come from
-        :data:`HEURISTIC_REGISTRY`; custom heuristic *instances* cannot be
-        named declaratively and raise ``ValueError``.
-        """
-        subtree = extractor.subtree_finder
-        separator = extractor.separator_finder
-        unknown = [
-            h.name for h in separator.heuristics if h.name not in HEURISTIC_REGISTRY
-        ]
-        if unknown:
-            raise ValueError(
-                f"heuristics {unknown} are not registry-known; "
-                "pass components to OminiExtractor directly instead"
-            )
-        return cls(
-            subtree_mode=subtree.mode,
-            subtree_min_fanout=subtree.min_fanout,
-            subtree_dimensions=tuple(subtree.dimensions),
-            subtree_rerank_window=subtree.rerank_window,
-            heuristics=tuple(h.name for h in separator.heuristics),
-            profiles={
-                name: tuple(profile.probabilities)
-                for name, profile in separator.profiles.items()
-            },
-            abstain_below=separator.abstain_below,
-            min_separator_count=separator.min_separator_count,
-            refinement=replace(extractor.refinement),
-        )

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.core.stages.config import ExtractorConfig
-from repro.core.stages.context import ExtractionContext
-from repro.core.stages.engine import StageEngine
 
 __all__ = ["ExtractorLane", "LaneResult", "PipelineLane"]
 
@@ -53,28 +51,23 @@ class ExtractorLane(Protocol):
 class PipelineLane:
     """An :class:`ExtractorLane` over the staged pipeline.
 
-    Stateless between calls (the engine and strategy objects are shared,
-    exactly as :class:`~repro.core.batch.BatchExtractor` shares them across
-    worker threads), so one lane instance may score pages concurrently.
+    The lane runs the same :class:`~repro.core.pipeline.OminiExtractor`
+    value the serve runtime builds from its config, so a lane scores the
+    deployed system.  Stateless between calls (the engine and strategy
+    objects are shared, exactly as :class:`~repro.core.batch.BatchExtractor`
+    shares them across worker threads), so one lane instance may score
+    pages concurrently.
     """
 
     def __init__(self, name: str, config: ExtractorConfig | None = None) -> None:
+        # Lazy: repro.core.pipeline imports this package.
+        from repro.core.pipeline import OminiExtractor
+
         self.name = name
-        self.config = config if config is not None else ExtractorConfig()
-        self._subtree_finder = self.config.build_subtree_finder()
-        self._separator_finder = self.config.build_separator_finder()
-        self._refinement = self.config.build_refinement()
-        self._engine = StageEngine()
+        self.extractor = OminiExtractor.from_config(config)
 
     def extract(self, source: str, *, site: str | None = None) -> LaneResult:
-        ctx = ExtractionContext(
-            source=source,
-            site=site,
-            subtree_finder=self._subtree_finder,
-            separator_finder=self._separator_finder,
-            refinement=self._refinement,
-        )
-        result = self._engine.extract(ctx)
+        result = self.extractor.extract(source, site=site)
         return LaneResult(
             objects=tuple(obj.text() for obj in result.objects),
             separator=result.separator,

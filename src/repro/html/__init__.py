@@ -36,7 +36,6 @@ from repro.html.tokenizer import (
     StartTagToken,
     TextToken,
     Token,
-    tokenize,
 )
 
 __all__ = [
@@ -61,5 +60,4 @@ __all__ = [
     "is_void",
     "normalize",
     "serialize_tokens",
-    "tokenize",
 ]

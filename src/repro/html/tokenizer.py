@@ -19,11 +19,11 @@ Two surfaces exist over one scanning core:
   integer kinds) so the fused engine pays no per-token object construction;
   tag names come back already lower-cased and interned via
   :func:`repro.html.tags.intern_tag`.
-* :func:`iter_tokens` / :func:`tokenize` -- the original dataclass-token
-  API, now a thin wrapper that materializes :data:`Token` objects from the
-  tuple stream.  Everything outside ``repro.html`` that wants a parse
-  should go through :func:`repro.tree.builder.parse_document` instead
-  (reprolint REP009 enforces this).
+* :func:`iter_tokens` -- the original dataclass-token API, now a thin
+  streaming wrapper that materializes :data:`Token` objects from the
+  tuple stream (``list(iter_tokens(source))`` when a list is wanted).
+  Code that wants a parse goes through
+  :func:`repro.tree.builder.parse_document` instead.
 
 The scanner uses compiled regular expressions for the overwhelmingly common
 shapes (end tags, attribute-free start tags, single attributes) so the per
@@ -308,11 +308,3 @@ def iter_tokens(source: str) -> Iterator[Token]:
         else:
             yield DoctypeToken(event[1], position=event[2])
 
-
-def tokenize(source: str) -> list[Token]:
-    """Eagerly tokenize ``source``; see :func:`iter_tokens`.
-
-    Legacy list-materializing entry point: fine for tests and small
-    documents, but pipeline code should stream (reprolint REP009).
-    """
-    return list(iter_tokens(source))

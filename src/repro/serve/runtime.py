@@ -58,10 +58,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core.pipeline import OminiExtractor
 from repro.core.rules import RuleStore
 from repro.core.stages.config import ExtractorConfig
-from repro.core.stages.context import ExtractionContext
-from repro.core.stages.engine import StageEngine
 from repro.fetch.base import Clock, FetchError, Fetcher, SystemClock, body_digest
 from repro.fetch.retry import site_key
 from repro.observe.adapter import TracingInstrumentation
@@ -182,16 +181,14 @@ class ExtractionCore:
             else TreeCache(capacity=config.tree_capacity, metrics=self.metrics)
         )
 
-        self.adapter = TracingInstrumentation(
-            self.tracer, self.metrics, enabled=config.tracing, clock=self.clock
+        # Plan selection and rule healing run against the shared cache.
+        self.extractor = OminiExtractor.from_config(
+            extractor_config,
+            rule_store=self.rules,
+            instrumentation=TracingInstrumentation(
+                self.tracer, self.metrics, enabled=config.tracing, clock=self.clock
+            ),
         )
-        self.engine = StageEngine(self.adapter)
-        extractor_config = (
-            extractor_config if extractor_config is not None else ExtractorConfig()
-        )
-        self._subtree_finder = extractor_config.build_subtree_finder()
-        self._separator_finder = extractor_config.build_separator_finder()
-        self._refinement = extractor_config.build_refinement()
         self._preregister_metrics()
 
     # -- the per-request machine --------------------------------------------
@@ -272,15 +269,7 @@ class ExtractionCore:
         tree = self.trees.get(digest)
         parsed_from_cache = tree is not None
 
-        ctx = ExtractionContext(
-            source=body,
-            site=site,
-            subtree_finder=self._subtree_finder,
-            separator_finder=self._separator_finder,
-            refinement=self._refinement,
-            rule_store=self.rules,
-            root=tree,
-        )
+        ctx = self.extractor.context(source=body, site=site, root=tree)
         if tree is None and site is not None:
             # Digest near-miss: the site's previous body may differ by one
             # small edit; try patching its cached tree instead of a full
@@ -291,7 +280,7 @@ class ExtractionCore:
                 ctx.parser = self._incremental_parser(*candidate)
         if site is not None:
             self.rules.adopt_published(site)
-        result = self.engine.extract(ctx)
+        result = self.extractor.engine.extract(ctx)
         if tree is None:
             assert ctx.root is not None
             self.trees.put(digest, ctx.root, site=site, body=body)
@@ -370,16 +359,11 @@ class ServeRuntime:
             tracer=tracer,
             extractor_config=extractor_config,
         )
-        # The core owns the machinery; re-expose it so callers (and the
-        # existing tests) keep one obvious handle per component.
+        # The core owns the machinery; re-expose what callers read.
         self.clock = self.core.clock
-        self.fetcher = self.core.fetcher
         self.metrics = self.core.metrics
         self.tracer = self.core.tracer
         self.rules = self.core.rules
-        self.trees = self.core.trees
-        self.adapter = self.core.adapter
-        self.engine = self.core.engine
         self.lifecycle = Lifecycle(clock=self.clock)
 
         self._queue: "queue.Queue[PendingRequest | None]" = queue.Queue(

@@ -121,43 +121,31 @@ def generate_wrapper(
 ) -> Wrapper:
     """Learn a wrapper for ``site`` from sample result pages.
 
-    Runs full Omini discovery on every sample (through the batch engine,
-    so a malformed sample is isolated as a no-vote rather than aborting
-    generation, and ``workers > 1`` discovers samples concurrently), takes
-    the majority (subtree-path, separator) pair, and records the consensus
-    level.  A consensus below ``min_consensus`` means the samples disagree
-    too much to trust a cached rule (mixed page types were supplied, or
-    the site is mid-redesign) and raises :class:`WrapperError`.  Configure
-    discovery with either a prebuilt ``extractor`` or a declarative
-    ``config`` (not both).
+    Runs full Omini discovery on every sample (a malformed sample is
+    isolated as a no-vote rather than aborting generation, and
+    ``workers > 1`` discovers samples on threads), takes the majority
+    (subtree-path, separator) pair, and records the consensus level.  A
+    consensus below ``min_consensus`` means the samples disagree too much
+    to trust a cached rule (mixed page types were supplied, or the site is
+    mid-redesign) and raises :class:`WrapperError`.  Configure discovery
+    with either a prebuilt ``extractor`` or a declarative ``config`` (not
+    both).
     """
-    from repro.core.batch import BatchExtractor, parallel_map
-    from repro.core.stages.config import ExtractorConfig
+    from repro.core.batch import parallel_map
 
     if not sample_pages:
         raise WrapperError("no sample pages supplied")
     if extractor is not None and config is not None:
         raise ValueError("pass either extractor= or config=, not both")
-    if extractor is not None:
-        # A prebuilt extractor may carry custom heuristic instances that a
-        # declarative config cannot name; drive it directly, isolated.
-        refinement = extractor.refinement
+    extractor = extractor or OminiExtractor.from_config(config)
 
-        def discover(html: str):
-            try:
-                return extractor.extract(html)
-            except Exception:  # noqa: BLE001 - a bad sample is a no-vote
-                return None
+    def discover(html: str):
+        try:
+            return extractor.extract(html)
+        except Exception:  # noqa: BLE001 - a bad sample is a no-vote
+            return None
 
-        results = [
-            r for r in parallel_map(discover, sample_pages, workers=workers) if r
-        ]
-    else:
-        config = config or ExtractorConfig()
-        refinement = config.build_refinement()
-        results = BatchExtractor(config).extract_many(
-            sample_pages, workers=workers
-        ).succeeded
+    results = [r for r in parallel_map(discover, sample_pages, workers=workers) if r]
     votes: Counter[tuple[str, str]] = Counter()
     for result in results:
         if result.separator is None:
@@ -182,5 +170,5 @@ def generate_wrapper(
         rule=rule,
         sample_pages=len(sample_pages),
         consensus=consensus,
-        refinement=refinement,
+        refinement=extractor.refinement,
     )

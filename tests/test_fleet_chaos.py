@@ -53,14 +53,14 @@ class TestChaosInProcess:
         # then blocks -- the precise instant a SIGKILL is most damaging.
         gate = threading.Event()
         entered = threading.Event()
-        real_run_plan = owner_runtime.core.engine.run_plan
+        real_run_plan = owner_runtime.core.extractor.engine.run_plan
 
         def gated_run_plan(plan, ctx):
             entered.set()
             assert gate.wait(timeout=30)
             return real_run_plan(plan, ctx)
 
-        owner_runtime.core.engine.run_plan = gated_run_plan
+        owner_runtime.core.extractor.engine.run_plan = gated_run_plan
 
         responses = {}
 

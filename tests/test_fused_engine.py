@@ -1,7 +1,7 @@
 """Fused-engine equivalence: one scan must equal the legacy three stages.
 
 The fused engine (:func:`repro.html.engine.parse_html`) replaces
-``tokenize -> Normalizer -> build_tag_tree`` with a single pass; its
+``iter_tokens -> Normalizer -> build_tag_tree`` with a single pass; its
 *only* license to exist is bit-identical output.  These seeded property
 tests (ISSUE 6 satellite, in the style of tests/test_random_properties.py)
 pin that equivalence across every parse-option combination over random
@@ -13,14 +13,11 @@ identical failure messages when both paths must raise.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.html.engine import parse_html
 from repro.html.normalizer import NormalizationReport, Normalizer
 from repro.html.serializer import serialize_tokens
-from repro.html.tokenizer import iter_tokens, tokenize
 from repro.tree.builder import build_tag_tree, tree_to_tokens
 from repro.tree.metrics import fanout, node_size, tag_count
 from repro.tree.node import ContentNode, TagNode
@@ -91,13 +88,6 @@ def test_fused_parse_is_bit_identical_to_legacy(seed):
             assert serialize_tokens(tree_to_tokens(actual)) == serialize_tokens(
                 tree_to_tokens(expected)
             )
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_streaming_tokenizer_matches_list_shim(seed):
-    """iter_tokens and the legacy tokenize() list shim are the same stream."""
-    for document in random_documents(seed):
-        assert list(iter_tokens(document)) == tokenize(document)
 
 
 def test_fused_parse_matches_legacy_on_corpus_pages():

@@ -21,7 +21,7 @@ from repro.corpus.noise import malform
 from repro.html.entities import decode_entities, encode_entities
 from repro.html.normalizer import normalize
 from repro.html.serializer import serialize_tokens
-from repro.html.tokenizer import EndTagToken, StartTagToken, TextToken, tokenize
+from repro.html.tokenizer import EndTagToken, StartTagToken, TextToken, iter_tokens
 from repro.tree.builder import build_tag_tree, parse_document
 from repro.tree.metrics import fanout, node_size, tag_count
 from repro.tree.node import ContentNode, TagNode
@@ -99,14 +99,14 @@ def test_attribute_encode_decode_round_trip(text):
 @given(tag_soup())
 @settings(max_examples=200)
 def test_tokenizer_never_raises(soup):
-    tokenize(soup)
+    list(iter_tokens(soup))
 
 
 @given(plain_text)
 def test_tokenizer_preserves_plain_text(text):
     if "<" in text:
         return  # '<' may legitimately start a tag
-    tokens = tokenize(text)
+    tokens = list(iter_tokens(text))
     assert "".join(t.text for t in tokens if isinstance(t, TextToken)) == decode_entities(text)
 
 

@@ -426,64 +426,6 @@ class TestRep008:
         assert result.ok
 
 
-# -- REP009: legacy tokenize() outside repro.html ------------------------------
-
-
-class TestRep009:
-    def test_legacy_tokenize_call_is_flagged(self, tmp_path):
-        result = lint(
-            tmp_path,
-            """\
-            from repro.html.tokenizer import tokenize
-            tokens = tokenize("<p>x</p>")
-            """,
-        )
-        assert rule_ids(result) == ["REP009", "REP009"]  # import + call
-
-    def test_module_qualified_call_is_flagged(self, tmp_path):
-        result = lint(
-            tmp_path,
-            """\
-            from repro.html import tokenizer
-            tokens = tokenizer.tokenize(source)
-            """,
-        )
-        assert rule_ids(result) == ["REP009"]
-
-    def test_streaming_iter_tokens_passes(self, tmp_path):
-        result = lint(
-            tmp_path,
-            """\
-            from repro.html.tokenizer import iter_tokens
-            from repro.tree.builder import parse_document
-
-            def parse(source):
-                list(iter_tokens(source))
-                return parse_document(source)
-            """,
-        )
-        assert result.ok
-
-    def test_repro_html_internals_are_allowlisted(self, tmp_path):
-        result = lint(
-            tmp_path,
-            """\
-            from repro.html.tokenizer import tokenize
-            tokens = tokenize(source)
-            """,
-            rel="src/repro/html/serializer.py",
-        )
-        assert result.ok
-
-    def test_tests_are_out_of_scope(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "from repro.html.tokenizer import tokenize\nts = tokenize('x')\n",
-            rel="tests/test_x.py",
-        )
-        assert result.ok
-
-
 class TestRep010:
     FLEET = "src/repro/fleet/coordinator.py"
 
@@ -589,6 +531,15 @@ class TestSuppressions:
         )
         assert rule_ids(result) == [SUPPRESSION_RULE_ID]
         assert "unknown rule" in result.findings[0].message
+
+    def test_retired_rule_id_is_unknown(self, tmp_path):
+        # REP009 fenced the tokenize() list shim and was retired with it.
+        result = lint(
+            tmp_path,
+            "value = 1  # reprolint: disable=REP009\n",
+        )
+        assert rule_ids(result) == [SUPPRESSION_RULE_ID]
+        assert "unknown rule REP009" in result.findings[0].message
 
     def test_one_comment_may_suppress_multiple_rules(self, tmp_path):
         result = lint(

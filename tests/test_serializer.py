@@ -2,7 +2,7 @@
 
 from repro.html.normalizer import normalize
 from repro.html.serializer import serialize_start_tag, serialize_tokens
-from repro.html.tokenizer import StartTagToken, tokenize
+from repro.html.tokenizer import StartTagToken
 from repro.tree.builder import build_tag_tree, parse_document, tree_to_tokens
 
 

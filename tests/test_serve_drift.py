@@ -20,11 +20,13 @@ must not depend on which one the corpus happens to emit first.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
 import pytest
 
 from repro.core.pipeline import OminiExtractor
 from repro.core.rules import ExtractionRule, RuleStore, StaleRuleError
+from repro.core.stages.config import ExtractorConfig
 from repro.corpus import (
     TEST_SITES,
     AdversarialCorpusGenerator,
@@ -159,19 +161,34 @@ def test_concurrent_requests_on_a_drifted_page_elect_one_relearner(stale_drift_s
     runtime.drain()
 
 
-def test_serve_and_library_give_the_same_answers(stale_drift_site):
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExtractorConfig(),
+        # The BYU baseline lane's config (repro.eval.harness2.byu_lane).
+        ExtractorConfig(
+            subtree_dimensions=("fanout",), heuristics=("HC", "IT", "RP", "SD")
+        ),
+    ],
+    ids=["default", "byu"],
+)
+def test_serve_and_library_give_the_same_answers(stale_drift_site, config):
     """Differential check of the one Section 6.6 loop on both paths.
 
     The served answer (shared rule cache, tree cache, incremental
     re-parse) and the library answer (a plain RuleStore) must agree on
     every request of the same sequence: learn, cached apply, and every
-    drift generation's stale-rule relearn.
+    drift generation's stale-rule relearn -- for the default config and
+    for a non-default one, since both paths build the extractor from it.
     """
     _, drift = stale_drift_site
     pages = CorpusGenerator(max_pages_per_site=3).generate(TEST_SITES) + drift
     pages.append(drift[-1])  # replay: the last relearned rule applies
-    runtime = ServeRuntime(ServeConfig(workers=1), clock=FakeClock()).start()
-    library = OminiExtractor(rule_store=RuleStore())
+    runtime = ServeRuntime(
+        ServeConfig(workers=1), clock=FakeClock(), extractor_config=config
+    ).start()
+    library = OminiExtractor.from_config(config, rule_store=RuleStore())
+    relearns: Counter[str] = Counter()
     try:
         for page in pages:
             served = runtime.handle(ExtractRequest(html=page.html, site=page.site))
@@ -181,8 +198,12 @@ def test_serve_and_library_give_the_same_answers(stale_drift_site):
             assert served.payload["separator"] == expected.separator
             assert served.payload["subtree"] == expected.subtree_path
             assert served.payload["used_cached_rule"] == expected.used_cached_rule
+            relearns[page.site] += expected.fallbacks
     finally:
         runtime.drain()
     counters = _counters(runtime)
-    assert counters["rules.relearned"] == len(drift) - 1
+    # Each drift generation relearns once; the BYU config also heals a
+    # corpus site, so the served total is pinned to the library's.
+    assert relearns[drift[0].site] == len(drift) - 1
+    assert counters["rules.relearned"] == sum(relearns.values())
     assert counters.get("rules.hits", 0) >= 1

@@ -109,14 +109,14 @@ class TestExtractorConfig:
         with pytest.raises(ValueError, match="unknown separator heuristic"):
             ExtractorConfig(heuristics=("XX",)).build_separator_finder()
 
-    def test_round_trip_from_extractor(self):
-        original = ExtractorConfig(
+    def test_from_config_carries_separator_knobs(self):
+        config = ExtractorConfig(
             heuristics=("SD", "PP"), abstain_below=0.4, min_separator_count=2
         )
-        recovered = ExtractorConfig.from_extractor(original.build_extractor())
-        assert recovered.heuristics == ("SD", "PP")
-        assert recovered.abstain_below == 0.4
-        assert recovered.min_separator_count == 2
+        finder = OminiExtractor.from_config(config).separator_finder
+        assert tuple(h.name for h in finder.heuristics) == ("SD", "PP")
+        assert finder.abstain_below == 0.4
+        assert finder.min_separator_count == 2
 
     def test_config_is_picklable(self):
         config = ExtractorConfig(profiles={"SD": (0.9, 0.1)})
