@@ -23,42 +23,29 @@ Package map:
   combination sweep (Section 6)
 """
 
-from repro.core import (
-    BatchExtractor,
-    BatchResult,
-    CombinedSeparatorFinder,
-    CombinedSubtreeFinder,
-    ExtractedObject,
-    ExtractionResult,
-    ExtractionRule,
-    ExtractorConfig,
-    FailedExtraction,
-    GSIHeuristic,
-    HFHeuristic,
-    IPSHeuristic,
-    LTCHeuristic,
-    OminiExtractor,
-    PPHeuristic,
-    RPHeuristic,
-    RuleStore,
-    SBHeuristic,
-    SDHeuristic,
-    extract_objects,
-)
-from repro.tree import parse_document, render_tree
-from repro.wrapper import (
-    FieldExtractor,
-    ObjectFields,
-    Wrapper,
-    WrapperError,
-    generate_wrapper,
-)
-from repro.aggregate import HttpProvider, MetaSearch, SyntheticProvider
-from repro.fetch import (
-    CachingFetcher,
-    FaultInjectingFetcher,
-    FetchError,
-    HttpFetcher,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core": (
+            "BatchExtractor", "BatchResult", "CombinedSeparatorFinder",
+            "CombinedSubtreeFinder", "ExtractedObject", "ExtractionResult",
+            "ExtractionRule", "ExtractorConfig", "FailedExtraction", "GSIHeuristic",
+            "HFHeuristic", "IPSHeuristic", "LTCHeuristic", "OminiExtractor",
+            "PPHeuristic", "RPHeuristic", "RuleStore", "SBHeuristic", "SDHeuristic",
+            "extract_objects",
+        ),
+        "repro.tree": ("parse_document", "render_tree"),
+        "repro.wrapper": (
+            "FieldExtractor", "ObjectFields", "Wrapper", "WrapperError",
+            "generate_wrapper",
+        ),
+        "repro.aggregate": ("HttpProvider", "MetaSearch", "SyntheticProvider"),
+        "repro.fetch": (
+            "CachingFetcher", "FaultInjectingFetcher", "FetchError", "HttpFetcher",
+        ),
+    },
 )
 
 __version__ = "1.0.0"

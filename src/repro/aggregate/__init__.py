@@ -25,9 +25,18 @@ content providers" is one registration call, not a wrapper-programming
 project.
 """
 
-from repro.aggregate.merge import MergedRecord, dedupe_records, rank_records
-from repro.aggregate.service import MetaSearch, SearchResult
-from repro.aggregate.sources import ContentProvider, HttpProvider, SyntheticProvider
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.aggregate.merge": ("MergedRecord", "dedupe_records", "rank_records"),
+        "repro.aggregate.service": ("MetaSearch", "SearchResult"),
+        "repro.aggregate.sources": (
+            "ContentProvider", "HttpProvider", "SyntheticProvider",
+        ),
+    },
+)
 
 __all__ = [
     "ContentProvider",

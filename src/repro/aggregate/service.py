@@ -25,7 +25,7 @@ from repro.aggregate.merge import MergedRecord, dedupe_records, rank_records
 from repro.aggregate.sources import ContentProvider
 from repro.core.batch import parallel_map
 from repro.core.stages.config import ExtractorConfig
-from repro.wrapper import Wrapper, WrapperError, generate_wrapper
+from repro.wrapper.wrapper import Wrapper, WrapperError, generate_wrapper
 
 
 @dataclass

@@ -29,10 +29,17 @@ suppress nothing are findings too)::
     started = clock_reading  # reprolint: disable=REP001 -- justification
 """
 
-from repro.analysis.engine import AnalysisResult, Analyzer, Rule, RuleVisitor
-from repro.analysis.findings import Finding
-from repro.analysis.report import render_json, render_text
-from repro.analysis.rules import ALL_RULES, default_rules
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.engine": ("AnalysisResult", "Analyzer", "Rule", "RuleVisitor"),
+        "repro.analysis.findings": ("Finding",),
+        "repro.analysis.report": ("render_json", "render_text"),
+        "repro.analysis.rules": ("ALL_RULES", "default_rules"),
+    },
+)
 
 __all__ = [
     "ALL_RULES",

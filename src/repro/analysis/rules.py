@@ -28,6 +28,11 @@ Each rule encodes a contract a previous PR fixed by hand after it broke:
 * **REP008** -- ``threading.Thread`` constructed without ``name=``:
   anonymous ``Thread-N`` labels make stack dumps and span attribution
   useless in the multi-threaded serve runtime and batch engine.
+* **REP010** -- ``socket`` / ``urllib.request`` / ``urllib.error`` in
+  :mod:`repro.fleet` outside ``fleet/transport.py``: every other fleet
+  module speaks the ``NodeClient`` protocol, which the in-process
+  harness satisfies with plain objects, so the fleet chaos suite runs
+  without sockets and stays deterministic.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ def instrumentation_base_names() -> frozenset[str]:
     adapters register) -- a class deriving from any of these names is
     treated as an observer whose ``on_*`` surface REP004 checks.
     """
-    import repro.observe  # noqa: F401  (registers TracingInstrumentation)
+    import repro.observe.adapter  # noqa: F401  (registers TracingInstrumentation)
     from repro.core.stages.instrumentation import Instrumentation
 
     names = {Instrumentation.__name__}

@@ -23,15 +23,13 @@ Omini's combined volume finder.
 from __future__ import annotations
 
 from repro.core.pipeline import OminiExtractor
-from repro.core.separator import (
-    CombinedSeparatorFinder,
-    HCHeuristic,
-    ITHeuristic,
-    RPHeuristic,
-    SDHeuristic,
-)
 from repro.core.separator.base import SeparatorHeuristic
-from repro.core.subtree import CombinedSubtreeFinder
+from repro.core.separator.combine import CombinedSeparatorFinder
+from repro.core.separator.hc import HCHeuristic
+from repro.core.separator.it import ITHeuristic
+from repro.core.separator.rp import RPHeuristic
+from repro.core.separator.sd import SDHeuristic
+from repro.core.subtree.combined import CombinedSubtreeFinder
 
 
 def byu_heuristics() -> list[SeparatorHeuristic]:

@@ -34,12 +34,10 @@ import sys
 from repro.core.pipeline import OminiExtractor
 from repro.core.rules import RuleStore
 from repro.core.separator.base import build_context
-from repro.core.subtree import (
-    CombinedSubtreeFinder,
-    GSIHeuristic,
-    HFHeuristic,
-    LTCHeuristic,
-)
+from repro.core.subtree.combined import CombinedSubtreeFinder
+from repro.core.subtree.fanout import HFHeuristic
+from repro.core.subtree.size_increase import GSIHeuristic
+from repro.core.subtree.tag_count import LTCHeuristic
 from repro.tree.builder import parse_document
 from repro.tree.render import render_tree
 
@@ -50,7 +48,8 @@ def _is_url(page: str) -> bool:
 
 def _build_fetcher(args: argparse.Namespace, observer=None):
     """The acquisition stack for URL pages: HTTP + optional on-disk cache."""
-    from repro.fetch import DEFAULT_MAX_BYTES, CachingFetcher, HttpFetcher
+    from repro.fetch.cache import CachingFetcher
+    from repro.fetch.http import DEFAULT_MAX_BYTES, HttpFetcher
 
     max_bytes = getattr(args, "max_bytes", None)
     if max_bytes is None:
@@ -72,7 +71,7 @@ def _build_observability(args: argparse.Namespace):
     """A tracing adapter when ``--trace``/``--metrics-out`` asked for one."""
     if not (getattr(args, "trace", None) or getattr(args, "metrics_out", None)):
         return None
-    from repro.observe import TracingInstrumentation
+    from repro.observe.adapter import TracingInstrumentation
 
     return TracingInstrumentation()
 
@@ -82,7 +81,7 @@ def _write_observability(args: argparse.Namespace, adapter) -> None:
     if adapter is None:
         return
     if args.trace:
-        from repro.observe import write_trace
+        from repro.observe.span import write_trace
 
         write_trace(adapter.tracer.spans, args.trace)
         print(f"wrote {len(adapter.tracer.spans)} spans to {args.trace}", file=sys.stderr)
@@ -233,12 +232,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    from repro.corpus import (
-        CorpusGenerator,
-        EXPERIMENTAL_SITES,
-        PageCache,
-        TEST_SITES,
-    )
+    from repro.corpus.fetcher import PageCache
+    from repro.corpus.generator import CorpusGenerator
+    from repro.corpus.sites import EXPERIMENTAL_SITES, TEST_SITES
 
     split = {
         "test": TEST_SITES,
@@ -258,7 +254,7 @@ def _read(path: str) -> str:
 
 
 def _cmd_wrap_generate(args: argparse.Namespace) -> int:
-    from repro.wrapper import WrapperError, generate_wrapper
+    from repro.wrapper.wrapper import WrapperError, generate_wrapper
 
     try:
         wrapper = generate_wrapper(args.site, [_read(p) for p in args.samples])
@@ -276,7 +272,7 @@ def _cmd_wrap_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_wrap_apply(args: argparse.Namespace) -> int:
-    from repro.wrapper import Wrapper, WrapperError
+    from repro.wrapper.wrapper import Wrapper, WrapperError
 
     wrapper = Wrapper.from_json(_read(args.wrapper))
     try:

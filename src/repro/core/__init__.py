@@ -20,42 +20,35 @@ pluggable instrumentation.  :class:`repro.core.batch.BatchExtractor` drives
 the same stage engine over many pages concurrently.
 """
 
-from repro.core.batch import (
-    BatchExtractor,
-    BatchResult,
-    BatchStats,
-    FailedExtraction,
-    PageTask,
-    parallel_map,
-)
-from repro.core.objects import ExtractedObject, construct_objects
-from repro.core.pipeline import ExtractionResult, OminiExtractor, PhaseTimings, extract_objects
-from repro.core.refinement import RefinementConfig, refine_objects
-from repro.core.rules import ExtractionRule, RuleStore
-from repro.core.stages import (
-    ExtractionContext,
-    ExtractorConfig,
-    Instrumentation,
-    Stage,
-    StageEngine,
-)
-from repro.core.separator import (
-    CombinedSeparatorFinder,
-    HCHeuristic,
-    IPSHeuristic,
-    ITHeuristic,
-    PPHeuristic,
-    RPHeuristic,
-    SBHeuristic,
-    SDHeuristic,
-    SeparatorHeuristic,
-)
-from repro.core.subtree import (
-    CombinedSubtreeFinder,
-    GSIHeuristic,
-    HFHeuristic,
-    LTCHeuristic,
-    SubtreeHeuristic,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.batch": (
+            "BatchExtractor", "BatchResult", "BatchStats", "FailedExtraction",
+            "PageTask", "parallel_map",
+        ),
+        "repro.core.objects": ("ExtractedObject", "construct_objects"),
+        "repro.core.pipeline": (
+            "ExtractionResult", "OminiExtractor", "PhaseTimings", "extract_objects",
+        ),
+        "repro.core.refinement": ("RefinementConfig", "refine_objects"),
+        "repro.core.rules": ("ExtractionRule", "RuleStore"),
+        "repro.core.stages": (
+            "ExtractionContext", "ExtractorConfig", "Instrumentation", "Stage",
+            "StageEngine",
+        ),
+        "repro.core.separator": (
+            "CombinedSeparatorFinder", "HCHeuristic", "IPSHeuristic", "ITHeuristic",
+            "PPHeuristic", "RPHeuristic", "SBHeuristic", "SDHeuristic",
+            "SeparatorHeuristic",
+        ),
+        "repro.core.subtree": (
+            "CombinedSubtreeFinder", "GSIHeuristic", "HFHeuristic", "LTCHeuristic",
+            "SubtreeHeuristic",
+        ),
+    },
 )
 
 __all__ = [

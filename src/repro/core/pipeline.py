@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from repro.core.objects import ExtractedObject
 from repro.core.refinement import RefinementConfig
 from repro.core.rules import RuleSource, RuleStore
-from repro.core.separator import CombinedSeparatorFinder
+from repro.core.separator.combine import CombinedSeparatorFinder
 from repro.core.stages.config import ExtractorConfig
 from repro.core.stages.context import (
     ExtractionContext,
@@ -42,7 +42,7 @@ from repro.core.stages.context import (
 )
 from repro.core.stages.engine import StageEngine
 from repro.core.stages.instrumentation import Instrumentation
-from repro.core.subtree import CombinedSubtreeFinder
+from repro.core.subtree.combined import CombinedSubtreeFinder
 from repro.tree.node import TagNode
 
 __all__ = [

@@ -24,26 +24,27 @@ through the inclusion-exclusion probability law using per-heuristic empirical
 rank-success distributions.
 """
 
-from repro.core.separator.base import (
-    CandidateContext,
-    RankedTag,
-    SeparatorHeuristic,
-    build_context,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.separator.base": (
+            "CandidateContext", "RankedTag", "SeparatorHeuristic", "build_context",
+        ),
+        "repro.core.separator.combine": (
+            "ALL_COMBINATIONS", "CombinedSeparatorFinder", "HeuristicProfile",
+            "combination_name", "compound_probability",
+        ),
+        "repro.core.separator.hc": ("HCHeuristic",),
+        "repro.core.separator.ips": ("IPS_LIST", "IPS_SUBTREE_TAGS", "IPSHeuristic"),
+        "repro.core.separator.it": ("IT_LIST", "ITHeuristic"),
+        "repro.core.separator.pp": ("PPHeuristic",),
+        "repro.core.separator.rp": ("RPHeuristic",),
+        "repro.core.separator.sb": ("SBHeuristic",),
+        "repro.core.separator.sd": ("SDHeuristic",),
+    },
 )
-from repro.core.separator.combine import (
-    ALL_COMBINATIONS,
-    CombinedSeparatorFinder,
-    HeuristicProfile,
-    combination_name,
-    compound_probability,
-)
-from repro.core.separator.hc import HCHeuristic
-from repro.core.separator.ips import IPS_LIST, IPS_SUBTREE_TAGS, IPSHeuristic
-from repro.core.separator.it import IT_LIST, ITHeuristic
-from repro.core.separator.pp import PPHeuristic
-from repro.core.separator.rp import RPHeuristic
-from repro.core.separator.sb import SBHeuristic
-from repro.core.separator.sd import SDHeuristic
 
 __all__ = [
     "ALL_COMBINATIONS",

@@ -23,32 +23,26 @@ credible evaluation and scaling both demand composable, measurable phases):
 the same engine.
 """
 
-from repro.core.stages.config import (
-    DEFAULT_HEURISTICS,
-    HEURISTIC_REGISTRY,
-    ExtractorConfig,
-)
-from repro.core.stages.context import (
-    ExtractionContext,
-    ExtractionResult,
-    PhaseTimings,
-)
-from repro.core.stages.engine import StageEngine
-from repro.core.stages.lanes import ExtractorLane, LaneResult, PipelineLane
-from repro.core.stages.instrumentation import Instrumentation
-from repro.core.stages.plan import (
-    ApplyRuleStage,
-    CombineStage,
-    ConstructStage,
-    LearnRuleStage,
-    ParseStage,
-    ReadStage,
-    RefineStage,
-    SeparatorStage,
-    Stage,
-    SubtreeStage,
-    cached_plan,
-    discovery_plan,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.stages.config": (
+            "DEFAULT_HEURISTICS", "HEURISTIC_REGISTRY", "ExtractorConfig",
+        ),
+        "repro.core.stages.context": (
+            "ExtractionContext", "ExtractionResult", "PhaseTimings",
+        ),
+        "repro.core.stages.engine": ("StageEngine",),
+        "repro.core.stages.lanes": ("ExtractorLane", "LaneResult", "PipelineLane"),
+        "repro.core.stages.instrumentation": ("Instrumentation",),
+        "repro.core.stages.plan": (
+            "ApplyRuleStage", "CombineStage", "ConstructStage", "LearnRuleStage",
+            "ParseStage", "ReadStage", "RefineStage", "SeparatorStage", "Stage",
+            "SubtreeStage", "cached_plan", "discovery_plan",
+        ),
+    },
 )
 
 __all__ = [

@@ -23,18 +23,15 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.core.refinement import RefinementConfig
-from repro.core.separator import (
-    CombinedSeparatorFinder,
-    HCHeuristic,
-    HeuristicProfile,
-    IPSHeuristic,
-    ITHeuristic,
-    PPHeuristic,
-    RPHeuristic,
-    SBHeuristic,
-    SDHeuristic,
-)
-from repro.core.subtree import CombinedSubtreeFinder
+from repro.core.separator.combine import CombinedSeparatorFinder, HeuristicProfile
+from repro.core.separator.hc import HCHeuristic
+from repro.core.separator.ips import IPSHeuristic
+from repro.core.separator.it import ITHeuristic
+from repro.core.separator.pp import PPHeuristic
+from repro.core.separator.rp import RPHeuristic
+from repro.core.separator.sb import SBHeuristic
+from repro.core.separator.sd import SDHeuristic
+from repro.core.subtree.combined import CombinedSubtreeFinder
 
 #: Paper acronym -> heuristic factory (the five Omini heuristics plus the
 #: two BYU baseline heuristics, so Table 19/20 configurations are also

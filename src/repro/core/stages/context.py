@@ -33,8 +33,8 @@ from repro.tree.node import TagNode
 from repro.tree.paths import path_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.separator import CombinedSeparatorFinder
-    from repro.core.subtree import CombinedSubtreeFinder
+    from repro.core.separator.combine import CombinedSeparatorFinder
+    from repro.core.subtree.combined import CombinedSubtreeFinder
 
 
 @dataclass

@@ -14,11 +14,20 @@ and :class:`~repro.core.subtree.combined.CombinedSubtreeFinder` merges them
 by multi-dimensional volume (Section 4.4).
 """
 
-from repro.core.subtree.base import RankedSubtree, SubtreeHeuristic, candidate_subtrees
-from repro.core.subtree.combined import CombinedSubtreeFinder
-from repro.core.subtree.fanout import HFHeuristic
-from repro.core.subtree.size_increase import GSIHeuristic
-from repro.core.subtree.tag_count import LTCHeuristic
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.subtree.base": (
+            "RankedSubtree", "SubtreeHeuristic", "candidate_subtrees",
+        ),
+        "repro.core.subtree.combined": ("CombinedSubtreeFinder",),
+        "repro.core.subtree.fanout": ("HFHeuristic",),
+        "repro.core.subtree.size_increase": ("GSIHeuristic",),
+        "repro.core.subtree.tag_count": ("LTCHeuristic",),
+    },
+)
 
 __all__ = [
     "CombinedSubtreeFinder",

@@ -19,22 +19,23 @@ package regenerates an equivalent corpus deterministically:
   all experiments on local copies of the pages).
 """
 
-from repro.corpus.adversarial import (
-    CATEGORIES,
-    AdversarialCorpusGenerator,
-    AdversarySiteSpec,
-    synthesize_sites,
-)
-from repro.corpus.fetcher import PageCache
-from repro.corpus.generator import CorpusGenerator, LabeledPage
-from repro.corpus.ground_truth import GroundTruth
-from repro.corpus.sites import (
-    EXPERIMENTAL_SITES,
-    HARD_SITES,
-    SiteSpec,
-    TEST_SITES,
-    all_sites,
-    site_by_name,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.corpus.adversarial": (
+            "CATEGORIES", "AdversarialCorpusGenerator", "AdversarySiteSpec",
+            "synthesize_sites",
+        ),
+        "repro.corpus.fetcher": ("PageCache",),
+        "repro.corpus.generator": ("CorpusGenerator", "LabeledPage"),
+        "repro.corpus.ground_truth": ("GroundTruth",),
+        "repro.corpus.sites": (
+            "EXPERIMENTAL_SITES", "HARD_SITES", "SiteSpec", "TEST_SITES", "all_sites",
+            "site_by_name",
+        ),
+    },
 )
 
 __all__ = [

@@ -15,26 +15,26 @@
   category, emitting the pinned-schema ``BENCH_eval.json`` trend report.
 """
 
-from repro.eval.combinations import combination_sweep, fast_combination_sweep
-from repro.eval.harness import (
-    EvaluatedPage,
-    estimate_profiles,
-    evaluate_pages,
-    rank_distribution,
-    separator_outcomes,
-)
-# NOTE: repro.eval.harness2 is deliberately NOT imported here -- it is the
-# ``python -m repro.eval.harness2`` entry point, and importing it from the
+from repro._lazy import lazy_exports
+
+# NOTE: repro.eval.harness2 is deliberately NOT in this table -- it is the
+# ``python -m repro.eval.harness2`` entry point, and loading it through the
 # package would shadow runpy's execution of the module (double-import
 # warning).  Import it directly: ``from repro.eval import harness2``.
-from repro.eval.metrics import (
-    HeuristicScore,
-    per_site_average,
-    score_outcomes,
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.eval.combinations": ("combination_sweep", "fast_combination_sweep"),
+        "repro.eval.harness": (
+            "EvaluatedPage", "estimate_profiles", "evaluate_pages", "rank_distribution",
+            "separator_outcomes",
+        ),
+        "repro.eval.metrics": ("HeuristicScore", "per_site_average", "score_outcomes"),
+        "repro.eval.objects": ("ObjectScore", "object_level_scores"),
+        "repro.eval.report": ("format_table",),
+        "repro.eval.timing": ("TimingBreakdown", "time_pipeline"),
+    },
 )
-from repro.eval.objects import ObjectScore, object_level_scores
-from repro.eval.report import format_table
-from repro.eval.timing import TimingBreakdown, time_pipeline
 
 __all__ = [
     "EvaluatedPage",

@@ -110,7 +110,7 @@ def time_pipeline(
             seen_spans = len(adapter.tracer.spans) if adapter is not None else 0
             result = extractor.extract_file(path, site=site_key)
             if adapter is not None:
-                from repro.observe import phase_timings_from_spans
+                from repro.observe.adapter import phase_timings_from_spans
 
                 breakdown.add(
                     phase_timings_from_spans(adapter.tracer.spans[seen_spans:])

@@ -24,35 +24,25 @@ innermost transport::
     ResilientFetcher(FaultInjectingFetcher(StaticFetcher(pages)))  # chaos test
 """
 
-from repro.fetch.base import (
-    CIRCUIT_OPEN,
-    CONNECTION,
-    CORRUPTED,
-    EXTRACTION,
-    FAILURE_KINDS,
-    HTTP_STATUS,
-    OVERSIZED,
-    TIMEOUT,
-    TRUNCATED,
-    CircuitOpenError,
-    CorruptBodyError,
-    FakeClock,
-    FetchConnectionError,
-    FetchError,
-    FetchHttpError,
-    FetchResult,
-    FetchTimeoutError,
-    Fetcher,
-    OversizedBodyError,
-    StaticFetcher,
-    SystemClock,
-    TruncatedBodyError,
-    classify_failure,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.fetch.base": (
+            "CIRCUIT_OPEN", "CONNECTION", "CORRUPTED", "EXTRACTION", "FAILURE_KINDS",
+            "HTTP_STATUS", "OVERSIZED", "TIMEOUT", "TRUNCATED", "CircuitOpenError",
+            "CorruptBodyError", "FakeClock", "FetchConnectionError", "FetchError",
+            "FetchHttpError", "FetchResult", "FetchTimeoutError", "Fetcher",
+            "OversizedBodyError", "StaticFetcher", "SystemClock", "TruncatedBodyError",
+            "classify_failure", "site_key",
+        ),
+        "repro.fetch.cache": ("CachingFetcher",),
+        "repro.fetch.faults": ("FAULT_KINDS", "FaultInjectingFetcher", "corrupt_html"),
+        "repro.fetch.http": ("DEFAULT_MAX_BYTES", "HttpFetcher"),
+        "repro.fetch.retry": ("CircuitBreaker", "ResilientFetcher", "RetryPolicy"),
+    },
 )
-from repro.fetch.cache import CachingFetcher
-from repro.fetch.faults import FAULT_KINDS, FaultInjectingFetcher, corrupt_html
-from repro.fetch.http import DEFAULT_MAX_BYTES, HttpFetcher
-from repro.fetch.retry import CircuitBreaker, ResilientFetcher, RetryPolicy, site_key
 
 __all__ = [
     "CIRCUIT_OPEN",

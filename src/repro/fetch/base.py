@@ -27,8 +27,9 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, runtime_checkable
+from urllib.parse import urlsplit
 
 __all__ = [
     "CIRCUIT_OPEN",
@@ -56,6 +57,7 @@ __all__ = [
     "TruncatedBodyError",
     "body_digest",
     "classify_failure",
+    "site_key",
 ]
 
 
@@ -145,6 +147,18 @@ def classify_failure(error: BaseException) -> str:
     if isinstance(error, FetchError):
         return error.kind
     return EXTRACTION
+
+
+def site_key(url: str, site: str | None = None) -> str:
+    """The per-site key: explicit site name, else the URL's host.
+
+    Keys the circuit breaker, the fetch cache layout, the serve rule
+    cache and (through :func:`repro.serve.protocol.routing_key`) the
+    procpool shards and the fleet ring.
+    """
+    if site is not None:
+        return site
+    return urlsplit(url).netloc or url
 
 
 # -- results ------------------------------------------------------------------

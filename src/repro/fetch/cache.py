@@ -31,8 +31,7 @@ from pathlib import Path
 
 from repro.core.stages.instrumentation import Instrumentation
 from repro.corpus.fetcher import _site_dir_name
-from repro.fetch.base import Clock, FetchResult, Fetcher, SystemClock
-from repro.fetch.retry import site_key
+from repro.fetch.base import Clock, FetchResult, Fetcher, SystemClock, site_key
 
 __all__ = ["CachingFetcher"]
 

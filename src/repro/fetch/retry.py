@@ -35,7 +35,6 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit
 
 from repro.core.stages.instrumentation import Instrumentation
 from repro.fetch.base import (
@@ -47,6 +46,7 @@ from repro.fetch.base import (
     Fetcher,
     OversizedBodyError,
     SystemClock,
+    site_key,
 )
 
 __all__ = [
@@ -56,19 +56,11 @@ __all__ = [
     "OPEN",
     "ResilientFetcher",
     "RetryPolicy",
-    "site_key",
 ]
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
-
-
-def site_key(url: str, site: str | None = None) -> str:
-    """The breaker key: explicit site name, else the URL's host."""
-    if site is not None:
-        return site
-    return urlsplit(url).netloc or url
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,20 @@ Everything is stdlib-only, and all socket/urllib use is confined to
 stays deterministic under test.
 """
 
-from repro.fleet.coordinator import FleetCoordinator, NodeClient, NodeUnavailable
-from repro.fleet.membership import Membership
-from repro.fleet.protocol import FLEET_METRICS_SCHEMA
-from repro.fleet.registry import FleetRuleRegistry
-from repro.fleet.ring import HashRing
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.fleet.coordinator": (
+            "FleetCoordinator", "NodeClient", "NodeUnavailable",
+        ),
+        "repro.fleet.membership": ("Membership",),
+        "repro.fleet.protocol": ("FLEET_METRICS_SCHEMA",),
+        "repro.fleet.registry": ("FleetRuleRegistry",),
+        "repro.fleet.ring": ("HashRing",),
+    },
+)
 
 __all__ = [
     "FLEET_METRICS_SCHEMA",

@@ -23,14 +23,17 @@ from __future__ import annotations
 import argparse
 import sys
 import threading
+from typing import TYPE_CHECKING
 
 from repro.fleet.coordinator import FleetCoordinator, NodeClient, NodeUnavailable
-from repro.fleet.harness import SubprocessFleet
 from repro.fleet.http import FleetHTTPServer
 from repro.fleet.membership import Membership
 from repro.fleet.ring import HashRing
 from repro.fleet.transport import HttpNodeClient
 from repro.observe.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.fleet.harness import SubprocessFleet
 
 __all__ = ["add_fleet_arguments", "main", "run"]
 
@@ -133,7 +136,11 @@ def run(args: argparse.Namespace) -> int:
 
     spawned: SubprocessFleet | None = None
     if args.nodes > 0:
-        spawned = SubprocessFleet(
+        # Only spawning needs the harness; it imports the in-process serve
+        # runtime and with it the extraction stack, which routing never runs.
+        from repro.fleet import harness
+
+        spawned = harness.SubprocessFleet(
             args.nodes,
             host=args.host,
             workers=args.workers,

@@ -11,7 +11,7 @@ serve tier's runtime/server split.
 Routing policy, per request:
 
 1. Derive the routing key with the *same* function the procpool shards
-   use (:func:`repro.serve.procpool.routing_key`), hash it onto the
+   use (:func:`repro.serve.protocol.routing_key`), hash it onto the
    ring, and take the first ``failover_limit`` distinct replicas.
 2. Try each replica in ring order.  A node answering anything but 429
    ends the walk (the node's envelope passes through unchanged -- the
@@ -41,12 +41,12 @@ from repro.fleet.registry import FleetRuleRegistry
 from repro.fleet.ring import HashRing
 from repro.observe.metrics import MetricsRegistry, merge_snapshots
 from repro.serve.lifecycle import DRAINING, READY, STOPPED, Lifecycle
-from repro.serve.procpool import routing_key
 from repro.serve.protocol import (
     ExtractRequest,
     ServeResponse,
     draining_response,
     error_response,
+    routing_key,
 )
 
 __all__ = ["FleetCoordinator", "NodeClient", "NodeUnavailable"]

@@ -15,27 +15,23 @@ and per-tag metadata such as void tags and implied-end-tag rules
 (:mod:`repro.html.tags`).
 """
 
-from repro.html.entities import decode_entities, encode_entities
-from repro.html.normalizer import NormalizationReport, Normalizer, normalize
-from repro.html.serializer import serialize_tokens
-from repro.html.tags import (
-    BLOCK_TAGS,
-    FLOW_BREAKERS,
-    INLINE_TAGS,
-    TABLE_SCOPE_TAGS,
-    VOID_TAGS,
-    closes_implicitly,
-    is_block,
-    is_inline,
-    is_void,
-)
-from repro.html.tokenizer import (
-    CommentToken,
-    DoctypeToken,
-    EndTagToken,
-    StartTagToken,
-    TextToken,
-    Token,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.html.entities": ("decode_entities", "encode_entities"),
+        "repro.html.normalizer": ("NormalizationReport", "Normalizer", "normalize"),
+        "repro.html.serializer": ("serialize_tokens",),
+        "repro.html.tags": (
+            "BLOCK_TAGS", "FLOW_BREAKERS", "INLINE_TAGS", "TABLE_SCOPE_TAGS",
+            "VOID_TAGS", "closes_implicitly", "is_block", "is_inline", "is_void",
+        ),
+        "repro.html.tokenizer": (
+            "CommentToken", "DoctypeToken", "EndTagToken", "StartTagToken", "TextToken",
+            "Token",
+        ),
+    },
 )
 
 __all__ = [

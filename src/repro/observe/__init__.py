@@ -32,15 +32,19 @@ or from the CLI: ``omini extract PAGES... --trace trace.json
 --metrics-out metrics.txt``.
 """
 
-from repro.observe.adapter import TracingInstrumentation, phase_timings_from_spans
-from repro.observe.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    snapshot_delta,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.observe.adapter": ("TracingInstrumentation", "phase_timings_from_spans"),
+        "repro.observe.metrics": (
+            "DEFAULT_LATENCY_BUCKETS", "Counter", "Histogram", "MetricsRegistry",
+            "snapshot_delta",
+        ),
+        "repro.observe.span": ("Span", "Tracer", "write_trace"),
+    },
 )
-from repro.observe.span import Span, Tracer, write_trace
 
 __all__ = [
     "Counter",

@@ -22,25 +22,28 @@ inside a *process that stays up*.  This package is that process:
   (``--workers-mode {thread,process}``).
 """
 
-from repro.serve.lifecycle import DRAINING, READY, STARTING, STOPPED, Lifecycle
-from repro.serve.procpool import ProcessServeRuntime, shard_index
-from repro.serve.protocol import (
-    METRICS_SCHEMA,
-    ExtractRequest,
-    ProtocolError,
-    ServeResponse,
-    parse_extract_request,
-    validate_metrics,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.lifecycle": (
+            "DRAINING", "READY", "STARTING", "STOPPED", "Lifecycle",
+        ),
+        "repro.serve.procpool": ("ProcessServeRuntime",),
+        "repro.core.shard": ("shard_index",),
+        "repro.serve.protocol": (
+            "METRICS_SCHEMA", "ExtractRequest", "ProtocolError", "ServeResponse",
+            "parse_extract_request", "validate_metrics",
+        ),
+        "repro.serve.rulecache": ("RuleLease", "SharedRuleCache"),
+        "repro.serve.runtime": (
+            "ExtractionCore", "PendingRequest", "ServeConfig", "ServeRuntime",
+        ),
+        "repro.serve.server": ("ExtractionHTTPServer", "ServeRuntimeLike"),
+        "repro.serve.treecache": ("TreeCache",),
+    },
 )
-from repro.serve.rulecache import RuleLease, SharedRuleCache
-from repro.serve.runtime import (
-    ExtractionCore,
-    PendingRequest,
-    ServeConfig,
-    ServeRuntime,
-)
-from repro.serve.server import ExtractionHTTPServer, ServeRuntimeLike
-from repro.serve.treecache import TreeCache
 
 __all__ = [
     "DRAINING",

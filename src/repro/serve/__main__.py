@@ -29,7 +29,6 @@ from urllib.parse import urlsplit
 
 from repro.core.rules import RuleStore
 from repro.fetch.base import FetchHttpError, FetchResult, Fetcher
-from repro.serve.procpool import ProcessServeRuntime
 from repro.serve.runtime import ServeConfig, ServeRuntime
 from repro.serve.server import ExtractionHTTPServer, ServeRuntimeLike
 
@@ -106,7 +105,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
 def _build_fetcher(args: argparse.Namespace) -> Fetcher:
     if args.corpus:
         return CorpusFetcher(args.corpus)
-    from repro.fetch import CachingFetcher, HttpFetcher
+    from repro.fetch.cache import CachingFetcher
+    from repro.fetch.http import HttpFetcher
 
     fetcher: Fetcher = HttpFetcher(
         timeout=min(args.timeout, args.deadline), retries=args.retries
@@ -129,6 +129,8 @@ def run(args: argparse.Namespace) -> int:
     )
     runtime: ServeRuntimeLike
     if getattr(args, "workers_mode", "thread") == "process":
+        from repro.serve.procpool import ProcessServeRuntime
+
         runtime = ProcessServeRuntime(
             config,
             fetcher=_build_fetcher(args),

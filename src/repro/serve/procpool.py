@@ -65,8 +65,7 @@ from typing import Any
 from repro.core.rules import ExtractionRule, RuleStore
 from repro.core.shard import shard_index
 from repro.core.stages.config import ExtractorConfig
-from repro.fetch.base import Clock, Fetcher, SystemClock, body_digest
-from repro.fetch.retry import site_key
+from repro.fetch.base import Clock, Fetcher, SystemClock
 from repro.observe.metrics import MetricsRegistry, snapshot_delta
 from repro.observe.span import Span, Tracer
 from repro.serve.lifecycle import DRAINING, READY, STOPPED, Lifecycle
@@ -77,25 +76,12 @@ from repro.serve.protocol import (
     draining_response,
     internal_error_response,
     malformed_response,
+    routing_key,
     saturated_response,
 )
 from repro.serve.runtime import ExtractionCore, PendingRequest, ServeConfig
 
-__all__ = ["ProcessServeRuntime", "routing_key", "shard_index"]
-
-
-def routing_key(request: ExtractRequest) -> str:
-    """Site when known, else URL host, else body digest (site-less inline).
-
-    The one request-to-key derivation shared by the procpool shards and
-    the :mod:`repro.fleet` consistent-hash ring -- both layers must agree
-    on the key, or a site local to one scatters in the other.
-    """
-    if request.site is not None:
-        return request.site
-    if request.url is not None:
-        return site_key(request.url)
-    return body_digest(request.html or "")
+__all__ = ["ProcessServeRuntime", "shard_index"]
 
 
 def _write_shared_body(body: str) -> tuple[str, int]:

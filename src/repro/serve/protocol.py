@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.fetch.base import body_digest, site_key
+
 __all__ = [
     "METRICS_SCHEMA",
     "ExtractRequest",
@@ -43,6 +45,7 @@ __all__ = [
     "internal_error_response",
     "malformed_response",
     "parse_extract_request",
+    "routing_key",
     "saturated_response",
     "success_response",
     "validate_metrics",
@@ -71,6 +74,20 @@ class ExtractRequest:
     def mode(self) -> str:
         """``"inline"`` for html-bodied requests, ``"url"`` for fetches."""
         return "inline" if self.html is not None else "url"
+
+
+def routing_key(request: ExtractRequest) -> str:
+    """Site when known, else URL host, else body digest (site-less inline).
+
+    The one request-to-key derivation shared by the procpool shards and
+    the :mod:`repro.fleet` consistent-hash ring -- both layers must agree
+    on the key, or a site local to one scatters in the other.
+    """
+    if request.site is not None:
+        return request.site
+    if request.url is not None:
+        return site_key(request.url)
+    return body_digest(request.html or "")
 
 
 def parse_extract_request(raw: bytes | str) -> ExtractRequest:

@@ -61,8 +61,14 @@ from typing import Callable
 from repro.core.pipeline import OminiExtractor
 from repro.core.rules import RuleStore
 from repro.core.stages.config import ExtractorConfig
-from repro.fetch.base import Clock, FetchError, Fetcher, SystemClock, body_digest
-from repro.fetch.retry import site_key
+from repro.fetch.base import (
+    Clock,
+    FetchError,
+    Fetcher,
+    SystemClock,
+    body_digest,
+    site_key,
+)
 from repro.observe.adapter import TracingInstrumentation
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.span import Tracer

@@ -14,22 +14,23 @@ nodes are tag nodes, leaves are content nodes.  This package provides
   :mod:`repro.tree.render`).
 """
 
-from repro.tree.builder import build_tag_tree, parse_document
-from repro.tree.diff import Change, diff_trees, summarize_staleness
-from repro.tree.metrics import fanout, node_size, subtree_size, tag_count
-from repro.tree.node import ContentNode, Node, TagNode
-from repro.tree.paths import format_path, node_at_path, parse_path, path_of
-from repro.tree.render import render_tree
-from repro.tree.validate import assert_valid_tree, validate_tree
-from repro.tree.traversal import (
-    ancestors,
-    descendants,
-    find_all,
-    find_first,
-    is_ancestor,
-    iter_nodes,
-    leaf_nodes,
-    tag_nodes,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.tree.builder": ("build_tag_tree", "parse_document"),
+        "repro.tree.diff": ("Change", "diff_trees", "summarize_staleness"),
+        "repro.tree.metrics": ("fanout", "node_size", "subtree_size", "tag_count"),
+        "repro.tree.node": ("ContentNode", "Node", "TagNode"),
+        "repro.tree.paths": ("format_path", "node_at_path", "parse_path", "path_of"),
+        "repro.tree.render": ("render_tree",),
+        "repro.tree.validate": ("assert_valid_tree", "validate_tree"),
+        "repro.tree.traversal": (
+            "ancestors", "descendants", "find_all", "find_first", "is_ancestor",
+            "iter_nodes", "leaf_nodes", "tag_nodes",
+        ),
+    },
 )
 
 __all__ = [

@@ -23,16 +23,20 @@ This package is that layer:
   discover the provider's search form and construct the query request.
 """
 
-from repro.wrapper.feedback import FeedbackStore, refine_profiles
-from repro.wrapper.forms import (
-    FormSpec,
-    SearchRequest,
-    build_search_request,
-    find_forms,
-    find_search_form,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.wrapper.feedback": ("FeedbackStore", "refine_profiles"),
+        "repro.wrapper.forms": (
+            "FormSpec", "SearchRequest", "build_search_request", "find_forms",
+            "find_search_form",
+        ),
+        "repro.wrapper.fields": ("FieldExtractor", "ObjectFields"),
+        "repro.wrapper.wrapper": ("Wrapper", "WrapperError", "generate_wrapper"),
+    },
 )
-from repro.wrapper.fields import FieldExtractor, ObjectFields
-from repro.wrapper.wrapper import Wrapper, WrapperError, generate_wrapper
 
 __all__ = [
     "FeedbackStore",

@@ -18,8 +18,6 @@ import select
 import signal
 import threading
 
-import pytest
-
 from repro.fetch.base import FetchResult
 from repro.serve.procpool import (
     ProcessServeRuntime,
