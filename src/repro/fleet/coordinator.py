@@ -113,7 +113,7 @@ class FleetCoordinator:
         self.failover_limit = failover_limit
         self.lifecycle = Lifecycle(clock=self.clock)
         self._clients: dict[str, NodeClient] = {}
-        self._preregister_metrics()
+        self.metrics.preregister(FLEET_METRICS_SCHEMA)
 
     # -- membership wiring ---------------------------------------------------
 
@@ -250,17 +250,5 @@ class FleetCoordinator:
             except NodeUnavailable:
                 continue
         merged = MetricsRegistry()
-        for name in FLEET_METRICS_SCHEMA["counters"]:
-            merged.counter(name)
-        for name in FLEET_METRICS_SCHEMA["histograms"]:
-            merged.histogram(name)
+        merged.preregister(FLEET_METRICS_SCHEMA)
         return merge_snapshots(snapshots, registry=merged)
-
-    # -- internals -----------------------------------------------------------
-
-    def _preregister_metrics(self) -> None:
-        """Materialize the fleet family so the first scrape is complete."""
-        for name in FLEET_METRICS_SCHEMA["counters"]:
-            self.metrics.counter(name)
-        for name in FLEET_METRICS_SCHEMA["histograms"]:
-            self.metrics.histogram(name)

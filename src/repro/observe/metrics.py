@@ -230,6 +230,13 @@ class MetricsRegistry:
                 histogram = self._histograms[name] = Histogram(name, bounds)
         return histogram
 
+    def preregister(self, schema: dict[str, tuple[str, ...]]) -> None:
+        """Materialize a pinned schema so the first scrape is complete."""
+        for name in schema["counters"]:
+            self.counter(name)
+        for name in schema["histograms"]:
+            self.histogram(name)
+
     def snapshot(self) -> dict[str, object]:
         """The full current state: ``{"counters": ..., "histograms": ...}``."""
         with self._lock:

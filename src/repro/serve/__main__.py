@@ -25,6 +25,7 @@ import argparse
 import sys
 import threading
 from pathlib import Path
+from typing import Callable
 from urllib.parse import urlsplit
 
 from repro.core.rules import RuleStore
@@ -127,21 +128,16 @@ def run(args: argparse.Namespace) -> int:
         retry_after=args.retry_after,
         tracing=not args.no_tracing,
     )
-    runtime: ServeRuntimeLike
+    cls: Callable[..., ServeRuntimeLike] = ServeRuntime
     if getattr(args, "workers_mode", "thread") == "process":
         from repro.serve.procpool import ProcessServeRuntime
 
-        runtime = ProcessServeRuntime(
-            config,
-            fetcher=_build_fetcher(args),
-            rule_store=RuleStore(args.rules) if args.rules else None,
-        )
-    else:
-        runtime = ServeRuntime(
-            config,
-            fetcher=_build_fetcher(args),
-            rule_store=RuleStore(args.rules) if args.rules else None,
-        )
+        cls = ProcessServeRuntime
+    runtime = cls(
+        config,
+        fetcher=_build_fetcher(args),
+        rule_store=RuleStore(args.rules) if args.rules else None,
+    )
     server = ExtractionHTTPServer((args.host, args.port), runtime)
     runtime.start()
 

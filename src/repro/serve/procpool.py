@@ -4,7 +4,10 @@
 extraction -- pure Python tree-walking -- is GIL-bound: BENCH_serve.json
 showed warm throughput flat from 1 to 8 workers.  This module breaks that
 ceiling by pre-forking N worker *processes*, each running its own
-:class:`~repro.serve.runtime.ExtractionCore`:
+:class:`~repro.serve.runtime.ExtractionCore`.  Admission, ``wait``/
+``handle`` and the drain skeleton are the shared
+:class:`~repro.serve.runtime.AdmissionRuntime`, so both runtimes answer
+backpressure and a drain race alike; this module supplies the executor:
 
 * **Shard routing.**  Requests are routed by ``crc32(site) % N``
   (:func:`shard_index`), so every request for a site lands on the same
@@ -41,6 +44,12 @@ ceiling by pre-forking N worker *processes*, each running its own
   draining, outstanding tickets are answered 503 so no caller blocks
   forever.
 
+* **Backpressure.**  A shard holds at most ``queue_limit // workers``
+  outstanding tickets; the next submit for it answers 429.  The
+  hand-off checks ``accepting`` under the shard's lock, the same lock
+  drain sends the stop sentinel under, so a ticket never lands behind
+  the sentinel and a hand-off that races drain answers 503.
+
 Process mode runs on real time only: deadlines are absolute
 ``CLOCK_MONOTONIC`` values stamped by the parent and compared in the
 workers, which is valid because that clock is system-wide on Linux.  The
@@ -52,7 +61,6 @@ single-core or replay-exact deployments.
 from __future__ import annotations
 
 import itertools
-import math
 import multiprocessing
 import os
 import signal
@@ -65,21 +73,17 @@ from typing import Any
 from repro.core.rules import ExtractionRule, RuleStore
 from repro.core.shard import shard_index
 from repro.core.stages.config import ExtractorConfig
-from repro.fetch.base import Clock, Fetcher, SystemClock
+from repro.fetch.base import Fetcher, SystemClock
 from repro.observe.metrics import MetricsRegistry, snapshot_delta
 from repro.observe.span import Span, Tracer
-from repro.serve.lifecycle import DRAINING, READY, STOPPED, Lifecycle
-from repro.serve.protocol import (
-    METRICS_SCHEMA,
-    ExtractRequest,
-    ServeResponse,
-    draining_response,
-    internal_error_response,
-    malformed_response,
-    routing_key,
-    saturated_response,
+from repro.serve.lifecycle import READY
+from repro.serve.protocol import ExtractRequest, routing_key
+from repro.serve.runtime import (
+    AdmissionRuntime,
+    ExtractionCore,
+    PendingRequest,
+    ServeConfig,
 )
-from repro.serve.runtime import ExtractionCore, PendingRequest, ServeConfig
 
 __all__ = ["ProcessServeRuntime", "shard_index"]
 
@@ -243,13 +247,12 @@ class _Worker:
         self.receiver: threading.Thread | None = None
 
 
-class ProcessServeRuntime:
+class ProcessServeRuntime(AdmissionRuntime):
     """Pre-forked multiprocess serving: admission, shards, merge, drain.
 
-    The same public surface as :class:`~repro.serve.runtime.ServeRuntime`
-    (``start``/``submit``/``wait``/``handle``/``drain``, plus
-    ``lifecycle``/``metrics``/``tracer``), so
-    :class:`~repro.serve.server.ExtractionHTTPServer` binds to either.
+    Admission, ``wait``/``handle`` and the drain skeleton are the shared
+    :class:`~repro.serve.runtime.AdmissionRuntime`; this class hands an
+    admitted ticket down its site-hash shard's pipe.
     """
 
     def __init__(
@@ -262,18 +265,21 @@ class ProcessServeRuntime:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        self.config = config if config is not None else ServeConfig()
         # Real time only: deadlines are parent-stamped CLOCK_MONOTONIC
         # values compared inside the workers (system-wide on Linux).
-        self.clock: Clock = SystemClock()
+        super().__init__(
+            config if config is not None else ServeConfig(),
+            SystemClock(),
+            metrics if metrics is not None else MetricsRegistry(),
+        )
+        self.metrics.counter("procpool.restarts")
+        self.metrics.counter("procpool.resubmitted")
         self.fetcher = fetcher
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = (
             tracer
             if tracer is not None
             else Tracer(enabled=self.config.tracing, clock=self.clock)
         )
-        self.lifecycle = Lifecycle(clock=self.clock)
         self.rule_store = rule_store if rule_store is not None else RuleStore()
         self._extractor_config = extractor_config
         try:
@@ -288,14 +294,7 @@ class ProcessServeRuntime:
         self._per_worker_limit = max(
             1, self.config.queue_limit // max(1, self.config.workers)
         )
-        self._drain_lock = threading.Lock()
-        # Serializes submit's accepting-check against drain's close, and
-        # worker replacement against both.
-        self._admission_lock = threading.Lock()
         self._rules_dirty = False
-        self._preregister_metrics()
-
-    # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "ProcessServeRuntime":
         """Fork the shard processes and open admission."""
@@ -304,21 +303,19 @@ class ProcessServeRuntime:
         self.lifecycle.advance(READY)
         return self
 
-    def drain(self, join_timeout: float | None = None) -> None:
-        """Stop accepting, let every shard finish its pipe, merge, stop.
+    # -- the executor seam --------------------------------------------------
 
-        Each worker receives a ``None`` sentinel *after* everything
-        already dispatched to it (pipes are FIFO), answers it with a
-        farewell carrying its final metrics delta, spans, and dirty
-        rules, and exits.  Tickets a dead worker stranded are answered
-        503 by the sweep.  The parent persists the merged rule store
-        last, so rules learned by any worker generation survive.
+    def _hand_off(self, pending: PendingRequest) -> bool:
+        shard = shard_index(routing_key(pending.request), len(self._workers))
+        return self._dispatch(shard, pending)
+
+    def _stop_executors(self, join_timeout: float | None) -> None:
+        """Send each worker its sentinel and wait for it to exit.
+
+        The sentinel lands *after* everything already dispatched (pipes
+        are FIFO); the worker answers it with a farewell carrying its
+        final metrics delta, spans and dirty rules.
         """
-        with self._drain_lock:
-            if self.lifecycle.state in (DRAINING, STOPPED):
-                return
-            with self._admission_lock:
-                self.lifecycle.advance(DRAINING)
         for worker in list(self._workers):
             with worker.lock:
                 if worker.dead:
@@ -331,94 +328,44 @@ class ProcessServeRuntime:
             worker.process.join(timeout=join_timeout)
             if worker.receiver is not None:
                 worker.receiver.join(timeout=join_timeout)
-        swept = self._sweep_stranded()
-        if swept:
-            self.metrics.counter("serve.rejected.draining").inc(swept)
-        self._persist_rules()
-        self.lifecycle.advance(STOPPED)
 
-    def _sweep_stranded(self) -> int:
-        """Answer every ticket no worker will ever answer (503)."""
-        stranded = 0
-        for worker in list(self._workers):
-            with worker.lock:
-                leftovers = list(worker.outstanding.values())
-                worker.outstanding.clear()
-            for entry in leftovers:
-                if entry.shm_name is not None:
-                    _discard_shared_body(entry.shm_name)
-                if not entry.pending.event.is_set():
-                    entry.pending.response = draining_response()
-                    entry.pending.event.set()
-                    stranded += 1
-        return stranded
+    def _stranded(self) -> list[PendingRequest]:
+        return [
+            pending
+            for worker in list(self._workers)
+            for pending in self._take_outstanding(worker)
+        ]
 
-    def _persist_rules(self) -> None:
+    def _flush(self) -> None:
+        """Persist the merged store, so every worker generation's rules
+        survive."""
         if self._rules_dirty and self.rule_store.path is not None:
             self.rule_store.save()
             self.metrics.counter("rules.flushes").inc()
-
-    # -- admission ----------------------------------------------------------
-
-    def submit(self, request: ExtractRequest) -> PendingRequest | ServeResponse:
-        """Admit ``request`` onto its shard or answer with backpressure."""
-        budget = request.deadline if request.deadline is not None else (
-            self.config.deadline
-        )
-        if not math.isfinite(budget) or budget <= 0.0:
-            self.metrics.counter("serve.rejected.invalid").inc()
-            return malformed_response(
-                "request deadline must be a positive, finite number of seconds"
-            )
-        with self._admission_lock:
-            accepting = self.lifecycle.accepting
-        if not accepting:
-            self.metrics.counter("serve.rejected.draining").inc()
-            return draining_response()
-        now = self.clock.monotonic()
-        pending = PendingRequest(
-            request=request, enqueued=now, deadline=now + budget, budget=budget
-        )
-        shard = shard_index(routing_key(request), len(self._workers))
-        if not self._dispatch(shard, pending):
-            self.metrics.counter("serve.rejected.saturated").inc()
-            return saturated_response(self.config.retry_after)
-        self.metrics.counter("serve.accepted").inc()
-        return pending
-
-    def wait(
-        self, pending: PendingRequest, timeout: float | None = None
-    ) -> ServeResponse:
-        """Block until ``pending`` is answered (or ``timeout`` elapses)."""
-        if not pending.event.wait(timeout=timeout):
-            return internal_error_response("ResponseTimeout")
-        assert pending.response is not None
-        return pending.response
-
-    def handle(self, request: ExtractRequest) -> ServeResponse:
-        """Submit and wait: the synchronous one-call surface for HTTP."""
-        admitted = self.submit(request)
-        if isinstance(admitted, ServeResponse):
-            return admitted
-        return self.wait(admitted)
 
     # -- dispatch -----------------------------------------------------------
 
     def _dispatch(self, shard: int, pending: PendingRequest) -> bool:
         """Register a ticket on a live shard worker and send the task.
 
-        Returns False when the shard is saturated.  A worker observed
-        ``dead`` mid-dispatch means its replacement is being installed;
-        retry against the refreshed handle.  A send that breaks anyway
-        leaves the ticket registered -- the receiver's EOF handling
-        resubmits or answers it, so no ticket is ever silently lost.
+        Returns False when admission has closed or the shard is
+        saturated.  The accepting-check shares ``worker.lock`` with
+        drain's sentinel send, so a task never lands behind the sentinel.
+        A worker observed ``dead`` mid-dispatch means its replacement is
+        being installed; retry against the refreshed handle.  A send that
+        breaks anyway leaves the ticket registered -- the receiver's EOF
+        handling resubmits or answers it, so no ticket is ever silently
+        lost.
         """
         for _ in range(4):
             worker = self._workers[shard]
             with worker.lock:
                 if worker.dead:
                     continue
-                if len(worker.outstanding) >= self._per_worker_limit:
+                if (
+                    not self.lifecycle.accepting
+                    or len(worker.outstanding) >= self._per_worker_limit
+                ):
                     return False
                 self._send_task(worker, pending)
                 return True
@@ -451,6 +398,17 @@ class ProcessServeRuntime:
             # and resubmits (or 503s) everything registered, this ticket
             # included.
             pass
+
+    @staticmethod
+    def _take_outstanding(worker: _Worker) -> list[PendingRequest]:
+        """Unregister every ticket on ``worker``; unlink their staged bodies."""
+        with worker.lock:
+            entries = list(worker.outstanding.values())
+            worker.outstanding.clear()
+        for entry in entries:
+            if entry.shm_name is not None:
+                _discard_shared_body(entry.shm_name)
+        return [entry.pending for entry in entries]
 
     # -- the receive/merge side ---------------------------------------------
 
@@ -529,8 +487,8 @@ class ProcessServeRuntime:
         worker.process.join()  # reap; the process is already gone
         with worker.lock:
             worker.dead = True
-            leftovers = list(worker.outstanding.values())
-            worker.outstanding.clear()
+        # Staged bodies are unlinked here and re-staged on resend.
+        leftovers = self._take_outstanding(worker)
         replacement: _Worker | None = None
         with self._admission_lock:
             if self.lifecycle.accepting:
@@ -539,30 +497,12 @@ class ProcessServeRuntime:
                 replacement = self._spawn(worker.index)
                 self._workers[worker.index] = replacement
         if replacement is None:
-            # Draining (or stopped): no one will run these; answer 503.
-            for entry in leftovers:
-                if entry.shm_name is not None:
-                    _discard_shared_body(entry.shm_name)
-                if not entry.pending.event.is_set():
-                    self.metrics.counter("serve.rejected.draining").inc()
-                    entry.pending.response = draining_response()
-                    entry.pending.event.set()
+            # Draining (or stopped): no one will run these.
+            for pending in leftovers:
+                self._answer_draining(pending)
             return
         self.metrics.counter("procpool.restarts").inc()
-        for entry in leftovers:
-            if entry.shm_name is not None:
-                _discard_shared_body(entry.shm_name)  # re-staged on resend
+        for pending in leftovers:
             with replacement.lock:
-                self._send_task(replacement, entry.pending)
+                self._send_task(replacement, pending)
             self.metrics.counter("procpool.resubmitted").inc()
-
-    # -- metrics ------------------------------------------------------------
-
-    def _preregister_metrics(self) -> None:
-        """Materialize the pinned schema (plus pool counters) up front."""
-        for name in METRICS_SCHEMA["counters"]:
-            self.metrics.counter(name)
-        for name in METRICS_SCHEMA["histograms"]:
-            self.metrics.histogram(name)
-        self.metrics.counter("procpool.restarts")
-        self.metrics.counter("procpool.resubmitted")

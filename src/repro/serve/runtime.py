@@ -1,8 +1,8 @@
 """The serving runtime: admission, workers, deadlines, shared caches, drain.
 
 This is the core of ``repro.serve`` -- the HTTP layer in
-:mod:`repro.serve.server` is a thin translation onto this class.  The
-work is split in two:
+:mod:`repro.serve.server` is a thin translation onto these classes.  The
+work is split in three:
 
 * :class:`ExtractionCore` is the per-process extraction machine: one
   fetcher, one :class:`~repro.serve.rulecache.SharedRuleCache`
@@ -19,25 +19,22 @@ work is split in two:
   (:mod:`repro.serve.procpool`) builds one core *per worker process* so
   each shard keeps its own caches and single-flight learner election.
 
-* :class:`ServeRuntime` wraps a core with admission control and a
-  worker pool:
+* :class:`AdmissionRuntime` is the admission surface both runtimes
+  share, written once: deadline-budget validation (400), the
+  :class:`PendingRequest` ticket, backpressure (429 + ``Retry-After``
+  when the executors are full, 503 once admission has closed, also for
+  a hand-off that loses the race with drain), ``wait``/``handle``, and
+  **graceful drain** (close admission, let the executors finish and
+  stop, answer stranded tickets 503, flush learned rules, STOPPED).  A
+  subclass supplies only the executor.
 
-  - a **bounded admission queue**: :meth:`submit` either enqueues a
-    :class:`PendingRequest` or answers immediately with backpressure --
-    429 + ``Retry-After`` when the queue is full, 503 while draining,
-    400 for an unusable deadline budget;
-  - a **fixed worker pool** (named threads) sharing the core;
-  - **per-request deadlines**: each admitted request carries an absolute
-    monotonic deadline; a request that expires in the queue is answered
-    504 without doing work, and a fetch that consumes the budget is
-    answered 504 without running the pipeline;
-  - **graceful drain**: :meth:`drain` closes admission (atomically with
-    respect to in-flight submits -- the admission lock makes
-    check-then-enqueue and close-then-sentinel mutually exclusive),
-    lets every already-admitted request finish, joins the workers,
-    answers anything stranded behind the stop sentinels with 503,
-    flushes the rule cache's write-behind state, and advances the
-    lifecycle to STOPPED.
+* :class:`ServeRuntime` runs a core on a **fixed pool of named
+  threads** behind a **bounded queue**.  Each admitted request carries
+  an absolute monotonic deadline; a request that expires in the queue
+  is answered 504 without doing work, and a fetch that consumes the
+  budget is answered 504 without running the pipeline.  The pre-forked
+  process runtime, :class:`~repro.serve.procpool.ProcessServeRuntime`,
+  is the other subclass.
 
 Every time read goes through the injected
 :class:`~repro.fetch.base.Clock`, so the whole lifecycle -- saturation,
@@ -56,7 +53,7 @@ import math
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from repro.core.pipeline import OminiExtractor
 from repro.core.rules import RuleStore
@@ -92,6 +89,7 @@ from repro.tree.incremental import try_incremental_parse
 from repro.tree.node import TagNode
 
 __all__ = [
+    "AdmissionRuntime",
     "ExtractionCore",
     "PendingRequest",
     "ServeConfig",
@@ -195,7 +193,7 @@ class ExtractionCore:
                 self.tracer, self.metrics, enabled=config.tracing, clock=self.clock
             ),
         )
-        self._preregister_metrics()
+        self.metrics.preregister(METRICS_SCHEMA)
 
     # -- the per-request machine --------------------------------------------
 
@@ -327,124 +325,50 @@ class ExtractionCore:
 
         return parse
 
-    # -- metrics ------------------------------------------------------------
 
-    def _preregister_metrics(self) -> None:
-        """Materialize the pinned schema so the first scrape is complete."""
-        for name in METRICS_SCHEMA["counters"]:
-            self.metrics.counter(name)
-        for name in METRICS_SCHEMA["histograms"]:
-            self.metrics.histogram(name)
+class AdmissionRuntime:
+    """The admission surface both serve runtimes share.
 
+    Owns budget validation, the ticket, the accept-and-hand-off decision
+    with its counters, :meth:`wait`/:meth:`handle`, and the skeleton of
+    :meth:`drain`.  A subclass supplies how an admitted ticket reaches
+    :meth:`ExtractionCore.process`:
 
-class ServeRuntime:
-    """Admission control + worker pool + shared caches + graceful drain."""
+    * :meth:`_hand_off` -- place ``pending`` with an executor; False when
+      the executors are full or admission has closed.  It must re-check
+      ``lifecycle.accepting`` atomically against :meth:`_stop_executors`,
+      so no ticket lands where no executor will answer it;
+    * :meth:`_stop_executors` -- let admitted work finish, then stop;
+    * :meth:`_stranded` -- the tickets no executor will ever answer;
+    * :meth:`_flush` -- persist learned rules.
+    """
 
     def __init__(
-        self,
-        config: ServeConfig | None = None,
-        *,
-        fetcher: Fetcher | None = None,
-        clock: Clock | None = None,
-        rule_store: RuleStore | None = None,
-        rule_cache: SharedRuleCache | None = None,
-        tree_cache: TreeCache | None = None,
-        metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        extractor_config: ExtractorConfig | None = None,
+        self, config: ServeConfig, clock: Clock, metrics: MetricsRegistry
     ) -> None:
-        self.config = config if config is not None else ServeConfig()
-        self.core = ExtractionCore(
-            self.config,
-            clock=clock,
-            fetcher=fetcher,
-            rule_store=rule_store,
-            rule_cache=rule_cache,
-            tree_cache=tree_cache,
-            metrics=metrics,
-            tracer=tracer,
-            extractor_config=extractor_config,
-        )
-        # The core owns the machinery; re-expose what callers read.
-        self.clock = self.core.clock
-        self.metrics = self.core.metrics
-        self.tracer = self.core.tracer
-        self.rules = self.core.rules
-        self.lifecycle = Lifecycle(clock=self.clock)
-
-        self._queue: "queue.Queue[PendingRequest | None]" = queue.Queue(
-            maxsize=self.config.queue_limit
-        )
-        self._threads: list[threading.Thread] = []
+        self.config = config
+        self.clock = clock
+        self.metrics = metrics
+        self.lifecycle = Lifecycle(clock=clock)
         self._drain_lock = threading.Lock()
-        # Serializes submit's check-then-enqueue against drain's
-        # close-then-sentinel, so no request can land behind a stop
-        # sentinel (where no worker would ever answer it).
+        # Drain closes admission under it; a subclass holds it to act
+        # only while admission is open.
         self._admission_lock = threading.Lock()
+        metrics.preregister(METRICS_SCHEMA)
 
-    # -- lifecycle ----------------------------------------------------------
+    # -- the executor seam --------------------------------------------------
 
-    def start(self) -> "ServeRuntime":
-        """Spawn the worker pool and open admission."""
-        for index in range(self.config.workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"serve-worker-{index}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
-        self.lifecycle.advance(READY)
-        return self
+    def _hand_off(self, pending: PendingRequest) -> bool:
+        raise NotImplementedError
 
-    def drain(self, join_timeout: float | None = None) -> None:
-        """Stop accepting, finish in-flight work, flush, stop.
+    def _stop_executors(self, join_timeout: float | None) -> None:
+        raise NotImplementedError
 
-        Idempotent: a second drain (SIGTERM racing SIGINT) is a no-op.
-        Closing admission happens under the admission lock, so any
-        concurrent :meth:`submit` either completed its enqueue before
-        the close (a worker will answer it) or observes the DRAINING
-        state (503).  Stop sentinels are enqueued with blocking puts --
-        safe because admission is closed, so the queue can only shrink.
-        After the workers exit, anything still queued (e.g. admitted by
-        a submit that won the race but whose worker died) is answered
-        503 so no ticket waits forever.
-        """
-        with self._drain_lock:
-            if self.lifecycle.state in (DRAINING, STOPPED):
-                return
-            with self._admission_lock:
-                self.lifecycle.advance(DRAINING)
-            for _ in self._threads:
-                self._queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout=join_timeout)
-        self._sweep_stranded()
-        self.rules.flush()
-        self.lifecycle.advance(STOPPED)
+    def _stranded(self) -> Iterable[PendingRequest]:
+        raise NotImplementedError
 
-    def _sweep_stranded(self) -> int:
-        """Answer every request still queued after the workers exited.
-
-        Returns the number of tickets answered.  Belt and braces around
-        the admission lock: nothing should normally remain, but a ticket
-        stuck behind the sentinels must get its 503 rather than leave
-        :meth:`wait` blocked forever.
-        """
-        stranded = 0
-        while True:
-            try:
-                leftover = self._queue.get_nowait()
-            except queue.Empty:
-                return stranded
-            try:
-                if leftover is not None and not leftover.event.is_set():
-                    self.metrics.counter("serve.rejected.draining").inc()
-                    leftover.response = draining_response()
-                    leftover.event.set()
-                    stranded += 1
-            finally:
-                self._queue.task_done()
+    def _flush(self) -> None:
+        raise NotImplementedError
 
     # -- admission ----------------------------------------------------------
 
@@ -453,7 +377,8 @@ class ServeRuntime:
 
         Returns a :class:`PendingRequest` ticket on admission; a ready
         :class:`ServeResponse` (400 bad deadline / 429 saturated / 503
-        draining) otherwise.
+        draining) otherwise.  A hand-off that fails once admission has
+        closed answers 503, whichever executor refused it.
         """
         budget = request.deadline if request.deadline is not None else (
             self.config.deadline
@@ -469,23 +394,14 @@ class ServeRuntime:
         pending = PendingRequest(
             request=request, enqueued=now, deadline=now + budget, budget=budget
         )
-        rejection: str | None = None
-        with self._admission_lock:
-            if not self.lifecycle.accepting:
-                rejection = "draining"
-            else:
-                try:
-                    self._queue.put_nowait(pending)
-                except queue.Full:
-                    rejection = "saturated"
-        if rejection == "draining":
-            self.metrics.counter("serve.rejected.draining").inc()
-            return draining_response()
-        if rejection == "saturated":
+        if self._hand_off(pending):
+            self.metrics.counter("serve.accepted").inc()
+            return pending
+        if self.lifecycle.accepting:
             self.metrics.counter("serve.rejected.saturated").inc()
             return saturated_response(self.config.retry_after)
-        self.metrics.counter("serve.accepted").inc()
-        return pending
+        self.metrics.counter("serve.rejected.draining").inc()
+        return draining_response()
 
     def wait(
         self, pending: PendingRequest, timeout: float | None = None
@@ -502,6 +418,126 @@ class ServeRuntime:
         if isinstance(admitted, ServeResponse):
             return admitted
         return self.wait(admitted)
+
+    # -- drain --------------------------------------------------------------
+
+    def drain(self, join_timeout: float | None = None) -> None:
+        """Stop accepting, finish in-flight work, flush, stop.
+
+        Idempotent: a second drain (SIGTERM racing SIGINT) is a no-op.
+        Admission closes under the admission lock before the executors
+        are told to stop, and every hand-off checks ``accepting``
+        atomically against that stop, so a concurrent submit either
+        reaches an executor that will answer it or is refused 503.
+        After the executors stop, every ticket still stranded is answered
+        503 so no :meth:`wait` blocks forever; then the learned rules
+        are flushed.
+        """
+        with self._drain_lock:
+            if self.lifecycle.state in (DRAINING, STOPPED):
+                return
+            with self._admission_lock:
+                self.lifecycle.advance(DRAINING)
+        self._stop_executors(join_timeout)
+        for pending in self._stranded():
+            self._answer_draining(pending)
+        self._flush()
+        self.lifecycle.advance(STOPPED)
+
+    def _answer_draining(self, pending: PendingRequest) -> None:
+        """Answer an admitted ticket no executor will run: 503 draining."""
+        if not pending.event.is_set():
+            self.metrics.counter("serve.rejected.draining").inc()
+            pending.response = draining_response()
+            pending.event.set()
+
+
+class ServeRuntime(AdmissionRuntime):
+    """One shared core run by a fixed pool of threads behind a bounded queue."""
+
+    def __init__(
+        self,
+        config: ServeConfig | None = None,
+        *,
+        fetcher: Fetcher | None = None,
+        clock: Clock | None = None,
+        rule_store: RuleStore | None = None,
+        rule_cache: SharedRuleCache | None = None,
+        tree_cache: TreeCache | None = None,
+        metrics: MetricsRegistry | None = None,
+        tracer: Tracer | None = None,
+        extractor_config: ExtractorConfig | None = None,
+    ) -> None:
+        config = config if config is not None else ServeConfig()
+        self.core = ExtractionCore(
+            config,
+            clock=clock,
+            fetcher=fetcher,
+            rule_store=rule_store,
+            rule_cache=rule_cache,
+            tree_cache=tree_cache,
+            metrics=metrics,
+            tracer=tracer,
+            extractor_config=extractor_config,
+        )
+        super().__init__(config, self.core.clock, self.core.metrics)
+        # The core owns the machinery; re-expose what callers read.
+        self.tracer = self.core.tracer
+        self.rules = self.core.rules
+        self._queue: "queue.Queue[PendingRequest | None]" = queue.Queue(
+            maxsize=config.queue_limit
+        )
+        self._threads: list[threading.Thread] = []
+
+    def start(self) -> "ServeRuntime":
+        """Spawn the worker pool and open admission."""
+        for index in range(self.config.workers):
+            thread = threading.Thread(
+                target=self._worker_loop,
+                name=f"serve-worker-{index}",
+                daemon=True,
+            )
+            self._threads.append(thread)
+            thread.start()
+        self.lifecycle.advance(READY)
+        return self
+
+    # -- the executor seam --------------------------------------------------
+
+    def _hand_off(self, pending: PendingRequest) -> bool:
+        # Check-then-enqueue under the lock drain closes admission with,
+        # so no ticket can land behind the stop sentinels.
+        with self._admission_lock:
+            if not self.lifecycle.accepting:
+                return False
+            try:
+                self._queue.put_nowait(pending)
+            except queue.Full:
+                return False
+        return True
+
+    def _stop_executors(self, join_timeout: float | None) -> None:
+        # Blocking sentinel puts are safe: admission is closed, so the
+        # queue can only shrink.
+        for _ in self._threads:
+            self._queue.put(None)
+        for thread in self._threads:
+            thread.join(timeout=join_timeout)
+
+    def _stranded(self) -> Iterator[PendingRequest]:
+        # Belt and braces around the admission lock: nothing should
+        # normally remain queued once the workers have exited.
+        while True:
+            try:
+                leftover = self._queue.get_nowait()
+            except queue.Empty:
+                return
+            self._queue.task_done()
+            if leftover is not None:
+                yield leftover
+
+    def _flush(self) -> None:
+        self.rules.flush()
 
     # -- the worker side ----------------------------------------------------
 

@@ -1,11 +1,12 @@
 """The HTTP face of the extraction service.
 
 A deliberately thin layer: every route translates to one call on the
-:class:`~repro.serve.runtime.ServeRuntime` and one
-:class:`~repro.serve.protocol.ServeResponse` written back.  All policy --
-admission, backpressure, deadlines, caching, drain -- lives in the
-runtime, which is what the deterministic tests exercise; this module owns
-only sockets and JSON framing.
+runtime and one :class:`~repro.serve.protocol.ServeResponse` written
+back.  All policy -- admission, backpressure, deadlines, caching, drain
+-- lives in the runtime: either subclass of
+:class:`~repro.serve.runtime.AdmissionRuntime` (threads or forked
+shards), which share one admission layer and which the deterministic
+tests exercise.  This module owns only sockets and JSON framing.
 
 Routes::
 
@@ -15,9 +16,9 @@ Routes::
     POST /extract   -> the extraction protocol (see repro.serve.protocol)
 
 Built on :class:`http.server.ThreadingHTTPServer` (stdlib only): one
-thread per connection, but those threads immediately park in
-:meth:`ServeRuntime.handle`, so concurrency and fairness are governed by
-the runtime's bounded queue and fixed worker pool -- not by socket count.
+thread per connection, but those threads immediately park in the
+runtime's ``handle``, so concurrency and fairness are governed by its
+admission bound and fixed worker pool -- not by socket count.
 """
 
 from __future__ import annotations

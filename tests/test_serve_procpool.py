@@ -169,6 +169,43 @@ class TestProcessRuntime:
         assert RuleStore(path).get("persist.test") is not None
 
 
+class TestSaturation:
+    def test_full_shard_answers_429_with_retry_after(self) -> None:
+        """With the only worker parked mid-fetch, the submit after
+        ``queue_limit // workers`` outstanding tickets on its shard is
+        refused with backpressure, and the admitted ones still finish."""
+        url = "http://busy.test/p.html"
+        fetcher = ForkGateFetcher({url: LIST_HTML})
+        config = ServeConfig(workers=1, queue_limit=2, deadline=60.0, retry_after=2.5)
+        runtime = ProcessServeRuntime(config, fetcher=fetcher).start()
+        request = ExtractRequest(url=url, site="busy.test")
+        try:
+            first = runtime.submit(request)
+            assert isinstance(first, PendingRequest)
+            assert fetcher.entered.acquire(timeout=15)  # the worker is parked
+            queued = runtime.submit(request)
+            assert isinstance(queued, PendingRequest)
+
+            refused = runtime.submit(request)
+            assert not isinstance(refused, PendingRequest)
+            assert refused.status == 429
+            assert refused.headers["Retry-After"] == "3"  # ceil(2.5)
+            assert refused.payload["error"]["kind"] == "saturated"
+
+            fetcher.gate.set()
+            statuses = [runtime.wait(p, timeout=30).status for p in (first, queued)]
+            assert statuses == [200, 200]
+        finally:
+            fetcher.gate.set()
+            runtime.drain()
+
+        counters = runtime.metrics.snapshot()["counters"]
+        assert counters["serve.accepted"] == 2
+        assert counters["serve.completed"] == 2
+        assert counters["serve.rejected.saturated"] == 1
+        assert counters["serve.rejected.draining"] == 0
+
+
 class TestCrashRecovery:
     def test_sigkill_mid_learn_reelects_one_learner_no_request_lost(self) -> None:
         """Kill the shard worker while it is processing the request that

@@ -1,6 +1,6 @@
 """Regression tests for the serve runtime's admission and retention races.
 
-Three bugs pinned here:
+Four bugs pinned here:
 
 * **drain/submit race** -- ``submit`` used to check ``lifecycle.accepting``
   and then ``put_nowait`` without any mutual exclusion against ``drain``;
@@ -8,6 +8,10 @@ Three bugs pinned here:
   its ``wait()`` blocked forever.  Admission is now atomic against drain,
   and drain additionally sweeps the queue after joining workers so even a
   deliberately stranded ticket gets its 503.
+* **hand-off/drain race** -- process mode answered a submit whose shard
+  hand-off ran after drain had stopped the workers 429 ``saturated``;
+  both runtimes now answer a hand-off refused after admission closed
+  503 ``draining``, as thread mode always did.
 * **trace retention** -- exceeding ``trace_capacity`` used to drop *all*
   finished spans (``tracer.drain()``); retention is now oldest-first.
 * **deadline validation** -- a non-positive or NaN budget used to be
@@ -24,6 +28,7 @@ import pytest
 
 from repro.fetch.base import FakeClock
 from repro.serve.lifecycle import STOPPED
+from repro.serve.procpool import ProcessServeRuntime
 from repro.serve.protocol import (
     ExtractRequest,
     ProtocolError,
@@ -122,6 +127,41 @@ class TestDrainSubmitRace:
             assert ticket.response is not None
             assert ticket.response.status in (200, 503)
         assert all(status in (429, 503) for status in refusals)
+
+
+class TestHandOffDrainRace:
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_hand_off_after_drain_answers_503_draining(
+        self, mode: str, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """A submit whose hand-off runs only after drain has stopped the
+        executors is refused 503 ``draining`` in both modes -- never 429
+        ``saturated`` -- and is not counted as admitted."""
+        runtime: ServeRuntime | ProcessServeRuntime
+        if mode == "thread":
+            runtime = ServeRuntime(ServeConfig(workers=1), clock=FakeClock())
+            seam = "_hand_off"
+        else:
+            runtime = ProcessServeRuntime(ServeConfig(workers=1))
+            seam = "_dispatch"
+        runtime.start()
+        real_hand_off = getattr(runtime, seam)
+
+        def drain_first(*args: object) -> bool:
+            runtime.drain()
+            return bool(real_hand_off(*args))
+
+        monkeypatch.setattr(runtime, seam, drain_first)
+        response = runtime.handle(_inline("race.test"))
+
+        assert runtime.lifecycle.state == STOPPED
+        assert response.status == 503
+        assert response.payload["error"]["kind"] == "draining"
+        assert "Retry-After" not in response.headers
+        counters = runtime.metrics.snapshot()["counters"]
+        assert counters["serve.rejected.draining"] == 1
+        assert counters["serve.rejected.saturated"] == 0
+        assert counters["serve.accepted"] == 0
 
 
 class TestTraceRetention:
